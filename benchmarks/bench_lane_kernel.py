@@ -1,24 +1,26 @@
 """Micro-benchmark for the multi-lane simulator kernel (not a paper figure).
 
 Grid sweeps spend their time running many independent ``(scheduler,
-workload, seed, capacity)`` cells; the lane kernel advances a batch of
-them in lockstep through one arrival table instead of paying the full
-event-loop machinery per cell.  Four entries:
+workload, seed, capacity)`` cells; the lane kernel replays a batch of
+them through one shared arrival table instead of paying the full
+event-loop machinery per cell.  Every lane drives its scheduler's own
+``decide()``.  Four entries, each over a fixed scheduler set so its
+``bench_baseline.json`` entry keeps measuring the same work:
 
-* ``test_lane_kernel_8_lanes`` -- the original 8-cell batch (the four
-  PR-4 closed-form schedulers x two capacities), kept byte-compatible
-  with its historical baseline entry; pins the >= 3x speedup.
-* ``test_lane_kernel_closed_form_registry`` -- every closed-form
-  registry scheduler (adds zygote / walways / offline) x two
-  capacities; pins >= 3x over the sequential per-cell path.
-* ``test_lane_kernel_scripted`` -- the scripted-decision lanes
-  (faascache / lookahead / mpc / lending drive their real ``decide()``
-  per arrival).  The decision stays Python, so the win is the shared
-  kernel machinery only: parity is asserted, the timing is recorded
-  ``no_guard`` (no speedup floor, excluded from the baseline guard).
+* ``test_lane_kernel_8_lanes`` -- the original 8-cell batch (coldonly /
+  greedy / keepalive / lru x two capacities); pins the >= 3x speedup.
+* ``test_lane_kernel_closed_form_registry`` -- the seven schedulers
+  whose lanes once ran closed-form copies of their rules (adds zygote /
+  walways / offline) x two capacities; pins >= 3x over the sequential
+  per-cell path.
+* ``test_lane_kernel_scripted`` -- faascache / lookahead / mpc /
+  lending, whose lanes always drove ``decide()``; Lookahead's
+  clairvoyant scan dominates, so parity is asserted and the timing is
+  recorded ``no_guard`` (no speedup floor, excluded from the baseline
+  guard).
 * ``test_stream_lane_replay`` -- the chunked streaming lane path
   (``run_stream_lanes``) vs per-cell sequential ``run_stream`` on the
-  stream family's closed-form schedulers; pins the >= 3x speedup the
+  stream family's default schedulers; pins the >= 3x speedup the
   acceptance criteria require.
 
 Every entry asserts byte-identical summaries before timing means
@@ -28,13 +30,7 @@ oracles guard the same property over wider grids).
 
 import time
 
-from repro.cluster.lanes import (
-    LANE_SCHEDULERS,
-    LaneKernel,
-    LaneSpec,
-    lane_mode,
-    run_stream_lanes,
-)
+from repro.cluster.lanes import LaneKernel, LaneSpec, run_stream_lanes
 from repro.experiments.parallel import (
     GridTask,
     cached_arrival_table,
@@ -42,10 +38,7 @@ from repro.experiments.parallel import (
     run_task,
 )
 
-#: The original 8-cell batch: the four PR-4 closed-form schedulers x two
-#: pool capacities -- pinned explicitly (not derived from the registry) so
-#: the historical ``bench_baseline.json`` entry keeps measuring the same
-#: work as the registry grows.
+#: The original 8-cell batch: four schedulers x two pool capacities.
 CELLS = [
     GridTask(scheduler=s, workload="LO-Sim", seed=0,
              pool_label="Bench", capacity_mb=c)
@@ -53,28 +46,26 @@ CELLS = [
     for c in (800.0, 4000.0)
 ]
 
-#: Full closed-form registry x two capacities (zygote, walways, offline
-#: included) -- derived, so new closed-form codes are measured the moment
-#: they land.
+#: Seven schedulers x two capacities (the set whose lanes once ran
+#: closed-form rule copies).
 CLOSED_FORM_CELLS = [
     GridTask(scheduler=s, workload="LO-Sim", seed=0,
              pool_label="Bench", capacity_mb=c)
-    for s in sorted(k for k in LANE_SCHEDULERS
-                    if lane_mode(k) == "closed-form")
+    for s in ("coldonly", "greedy", "keepalive", "lru", "offline",
+              "walways", "zygote")
     for c in (800.0, 4000.0)
 ]
 
-#: Scripted-decision lanes x two capacities.
+#: The other four registry schedulers x two capacities.
 SCRIPTED_CELLS = [
     GridTask(scheduler=s, workload="LO-Sim", seed=0,
              pool_label="Bench", capacity_mb=c)
-    for s in sorted(k for k in LANE_SCHEDULERS
-                    if lane_mode(k) == "scripted")
+    for s in ("faascache", "lending", "lookahead", "mpc")
     for c in (800.0, 4000.0)
 ]
 
-#: Stream-lane entry: the stream family's default schedulers (all
-#: closed-form) over a mid-size Azure-like trace.
+#: Stream-lane entry: the stream family's default schedulers over a
+#: mid-size Azure-like trace.
 STREAM_SCHEDULERS = ("lru", "keepalive", "greedy")
 STREAM_FUNCTIONS = 100
 STREAM_INVOCATIONS = 8000
@@ -131,11 +122,11 @@ def test_lane_kernel_8_lanes(benchmark, emit):
 
 
 def test_lane_kernel_closed_form_registry(benchmark, emit):
-    """Every closed-form registry scheduler in one lane batch (>= 3x).
+    """Seven registry schedulers in one lane batch (>= 3x).
 
-    The sequential side pays the full per-cell driver -- including
-    Offline-Q's per-cell bootstrap rollout -- while the lane side shares
-    one arrival table (and its cached bootstrap policy) across lanes.
+    The sequential side pays the full per-cell driver, while the lane
+    side shares one arrival table across lanes; both reuse Offline-Q's
+    per-draw bootstrap policy.
     """
     _warm_memos(CLOSED_FORM_CELLS)
     sequential_s, sequential = _sequential_floor(CLOSED_FORM_CELLS)
@@ -143,7 +134,7 @@ def test_lane_kernel_closed_form_registry(benchmark, emit):
     _assert_parity(sequential, results)
     speedup = sequential_s / benchmark.stats["min"]
     emit(
-        f"lane kernel (closed-form registry): {len(CLOSED_FORM_CELLS)} "
+        f"lane kernel (seven schedulers): {len(CLOSED_FORM_CELLS)} "
         f"cells, sequential {sequential_s * 1e3:.1f} ms vs lane batch "
         f"{benchmark.stats['min'] * 1e3:.1f} ms ({speedup:.2f}x)"
     )
@@ -151,10 +142,10 @@ def test_lane_kernel_closed_form_registry(benchmark, emit):
 
 
 def test_lane_kernel_scripted(benchmark, emit):
-    """Scripted-decision lanes: real ``decide()`` per arrival, shared
-    kernel machinery.  Parity is the contract; timing is informational
-    (``no_guard``: the decision itself stays Python, so the margin is
-    too thin to gate on under load jitter)."""
+    """faascache / lending / lookahead / mpc lanes.  Parity is the
+    contract; timing is informational (``no_guard``: Lookahead's
+    clairvoyant scan dominates, so the margin is too thin to gate on
+    under load jitter)."""
     benchmark.extra_info["no_guard"] = True
     _warm_memos(SCRIPTED_CELLS)
     sequential_s, sequential = _sequential_floor(SCRIPTED_CELLS)
@@ -162,11 +153,12 @@ def test_lane_kernel_scripted(benchmark, emit):
     _assert_parity(sequential, results)
     speedup = sequential_s / benchmark.stats["min"]
     emit(
-        f"lane kernel (scripted): {len(SCRIPTED_CELLS)} cells, sequential "
+        f"lane kernel (four schedulers): {len(SCRIPTED_CELLS)} cells, "
+        f"sequential "
         f"{sequential_s * 1e3:.1f} ms vs lane batch "
         f"{benchmark.stats['min'] * 1e3:.1f} ms ({speedup:.2f}x)"
     )
-    # Scripted lanes must never be slower than sequential by more than
+    # Lanes must never be slower than sequential by more than
     # jitter: the kernel machinery is strictly cheaper than the event loop.
     assert speedup >= 1.0
 

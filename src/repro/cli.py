@@ -444,6 +444,8 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
         return 1
     print(f"{args.recording}: replayed {report.n_decisions} decisions "
           f"({report.n_swaps} scheduler swaps), byte-identical")
+    if report.truncated:
+        print("note: the final line was torn mid-write and was dropped")
     return 0
 
 

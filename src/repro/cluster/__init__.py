@@ -9,7 +9,6 @@ fixed-capacity warm pool, and a pluggable eviction policy reclaims space.
 from repro.cluster.events import Event, EventKind, EventQueue
 from repro.cluster.eventloop import (
     EventLoop,
-    SimulationClock,
     TimeSource,
     VirtualClock,
     WallClock,
@@ -38,7 +37,6 @@ __all__ = [
     "EventKind",
     "EventQueue",
     "EventLoop",
-    "SimulationClock",
     "TimeSource",
     "VirtualClock",
     "WallClock",

@@ -65,8 +65,7 @@ class VirtualClock:
     """Monotonic simulation clock: time advances, never rewinds.
 
     The deterministic :class:`TimeSource`: ``now`` is a plain float moved
-    only by :meth:`advance_to`.  This is byte-for-byte the historical
-    ``SimulationClock`` behaviour that the golden traces pin.
+    only by :meth:`advance_to`; the golden traces pin its behaviour.
     """
 
     def __init__(self, start: float = 0.0) -> None:
@@ -78,10 +77,6 @@ class VirtualClock:
             self.now = time
         return self.now
 
-
-#: Historical name of :class:`VirtualClock`, kept as an alias so existing
-#: imports and pickles keep working.
-SimulationClock = VirtualClock
 
 
 class WallClock:

@@ -4,57 +4,34 @@ A grid sweep replays thousands of *independent* simulations -- one per
 ``(scheduler, workload, seed, capacity)`` cell.  The sequential path runs
 each cell through the full :class:`~repro.cluster.simulator.ClusterSimulator`
 stack: per-event :class:`~repro.cluster.events.Event` objects, the layered
-lifecycle (cleaner, volumes, placement), a 16-column telemetry append per
-invocation, and a :class:`~repro.schedulers.base.SchedulingContext` whose
-construction sorts the whole pool per arrival.  None of that machinery is
-needed to produce the *summary* a grid cell actually carries.
+lifecycle (cleaner, volumes, placement) and a 16-column telemetry append
+per invocation.  None of that machinery is needed to produce the *summary*
+a grid cell actually carries.
 
-This module advances many **lanes** (one lane = one cell) per step through a
-struct-of-arrays kernel:
+This module replays many **lanes** (one lane = one cell) per process:
 
-* **Batched arrival ingestion** -- each workload draw is lowered once into an
-  :class:`ArrivalTable`: numpy columns (arrival time, execution time,
-  function index, invocation id) plus a per-``(function, match level)``
-  startup-latency table computed through the exact same
-  :meth:`~repro.containers.costmodel.StartupCostModel.breakdown` call the
-  sequential driver makes per arrival.  The hot loop never touches an
-  :class:`~repro.workloads.workload.Invocation` object on the closed-form
-  paths.  Tables are shared by every lane replaying the same draw;
+* **Shared arrival lowering** -- each workload draw is lowered once into
+  an :class:`ArrivalTable`: the arrival rows, each row's function index
+  and a per-``(function, match level)`` startup-latency table computed
+  through the exact same :meth:`~repro.containers.costmodel.\
+StartupCostModel.breakdown` call the sequential driver makes per arrival.
+  Tables are shared by every lane replaying the same draw;
   :meth:`ArrivalTable.from_stream` lowers a lazy arrival stream into
-  bounded columnar chunks for O(1)-memory lane replay
-  (:func:`run_stream_lanes`).
-* **Lockstep stepping** -- :meth:`LaneKernel.run` advances every active lane
-  to its ``k``-th arrival per step: due completions drain, TTL sweeps run,
-  then the step's decisions are scored as a batch
-  (:meth:`LaneKernel._score_batch`) against each lane's warm-pool match
-  index before being applied.  The active-lane bookkeeping (arrival
-  cursors, remaining counts) is vectorized numpy.
+  bounded chunks for O(1)-memory lane replay (:func:`run_stream_lanes`).
+* **One decision rule per scheduler** -- every lane builds its registry
+  scheduler (:data:`SCHEDULER_CLASS_NAMES`), takes its ``name`` and
+  ``make_eviction_policy()`` (LRU when it has none, like the simulator),
+  and calls its own ``decide()`` once per arrival against one reused
+  :class:`~repro.schedulers.base.SchedulingContext` backed by the lane's
+  pool.  The returned decision -- including any attached
+  :class:`~repro.schedulers.base.PrewarmRequest` /
+  :class:`~repro.schedulers.base.LendRequest` proactive actions -- is
+  replayed through the lane lifecycle.  A new scheduler needs no lane code.
 * **Shared pool semantics** -- each lane reuses the *real*
   :class:`~repro.cluster.pool.WarmPool` and
   :class:`~repro.cluster.eviction.EvictionPolicy` objects, so eviction
   ordering, TTL expiry, capacity accounting and peak tracking are identical
   to the sequential simulator by construction, not by reimplementation.
-
-Every scheduler registry key (:data:`SCHEDULER_CLASS_NAMES`) runs in a lane,
-through one of two modes:
-
-* **Closed-form decision codes** -- LRU/KeepAlive (MRU exact match),
-  Greedy-Match (deepest match), ColdOnly, Zygote (smallest covering
-  same-OS container, preserved in place), W-AlwaysAdopt (cheapest same-OS
-  delta cost, memoized per ``(function, container fingerprints)``) and
-  Offline-Q (masked arg-max over the function's Q-row, bootstrapped from
-  the same greedy reference rollout ``observe_workload`` runs).  These
-  resolve through the warm pool's match index without instantiating the
-  scheduler at all.
-* **Scripted decisions** -- FaasCache, Lookahead, MPC-Prewarm and
-  Pagurus-Lend keep their real ``decide()``: the lane builds the registry
-  scheduler, hands it a per-arrival :class:`~repro.schedulers.base.\
-SchedulingContext` backed by the lane's own pool, and replays the returned
-  decision -- including any attached
-  :class:`~repro.schedulers.base.PrewarmRequest` /
-  :class:`~repro.schedulers.base.LendRequest` proactive actions -- through
-  the lane lifecycle.  The vectorized latency table, tuple completion heap
-  and columnar accumulation are shared either way.
 
 **Byte-identical contract.**  For every registry scheduler and the default
 grid configuration (no worker concurrency limit, single pool shard, faults
@@ -80,53 +57,42 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from array import array
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.eviction import (
-    EvictionPolicy,
-    LRUEviction,
-    RejectNewcomerEviction,
-)
-from repro.cluster.pool import WarmPool, _mru_key
+from repro.cluster.eviction import EvictionPolicy, LRUEviction
+from repro.cluster.pool import WarmPool
 from repro.cluster.sketches import QuantileSketch
 from repro.containers.container import Container, ContainerState
 from repro.containers.costmodel import StartupCostModel
 from repro.containers.matching import MatchLevel, match_level
-from repro.schedulers.base import PrewarmRequest, SchedulingContext
+from repro.schedulers.base import (
+    Decision,
+    PrewarmRequest,
+    Scheduler,
+    SchedulingContext,
+)
 from repro.workloads.workload import Invocation, Workload
 
 __all__ = [
     "ArrivalTable",
-    "LANE_SCHEDULERS",
     "LaneKernel",
     "LaneResult",
     "LaneSpec",
     "SCHEDULER_CLASS_NAMES",
     "STREAM_CHUNK_SIZE",
     "lane_mode",
-    "lane_supported_scheduler",
     "run_stream_lanes",
 ]
 
 #: The scheduler registry: CLI/grid key -> class name in
 #: :mod:`repro.schedulers`.  This is the single source of truth shared by
 #: :data:`repro.experiments.parallel.SCHEDULER_FACTORIES` (which builds the
-#: sequential drivers from it) and the lane kernel's scripted mode (which
-#: instantiates the same classes lazily).
+#: sequential drivers from it) and the lane kernel (which builds the same
+#: classes per lane).
 SCHEDULER_CLASS_NAMES: Dict[str, str] = {
     "lru": "LRUScheduler",
     "faascache": "FaasCacheScheduler",
@@ -141,52 +107,8 @@ SCHEDULER_CLASS_NAMES: Dict[str, str] = {
     "offline": "OfflineQScheduler",
 }
 
-#: Decision fast-path codes (one per supported scheduler family).
-_DECIDE_COLD = 0      # always cold-start (ColdOnly)
-_DECIDE_EXACT = 1     # MRU exact (L3) match or cold (LRU, KeepAlive)
-_DECIDE_BEST = 2      # deepest match at any level or cold (Greedy-Match)
-_DECIDE_ZYGOTE = 3    # smallest covering same-OS container, else exact
-_DECIDE_WALWAYS = 4   # cheapest same-OS delta cost vs the cold latency
-_DECIDE_OFFLINE = 5   # masked arg-max over the function's offline Q-row
-_DECIDE_SCRIPTED = 6  # drive the registry scheduler's real decide()
-
-#: Schedulers the lane kernel can replay: registry key ->
-#: ``(display name, decision code, eviction-policy factory)``.  Closed-form
-#: entries carry the method name and eviction pairing of their scheduler;
-#: scripted entries carry ``(None, _DECIDE_SCRIPTED, None)`` -- the lane
-#: builds the real scheduler and takes its ``name`` and
-#: ``make_eviction_policy()`` (defaulting to LRU, like the simulator).
-#: The closed-form fast paths are provably identical to the schedulers'
-#: ``decide``: LRU and KeepAlive take the most-recently-used exact match
-#: (``SchedulingContext.exact_matches()[0]``), Greedy-Match takes
-#: ``pool.best_match`` when reusable, ColdOnly always cold-starts, Zygote
-#: prefers the smallest covering same-OS container (``preserve_image``),
-#: W-AlwaysAdopt minimizes the same-OS delta cost with a strict-less scan in
-#: LRU order, and Offline-Q replays the masked arg-max over its
-#: trace-fitted Q-table -- all of which resolve through the same warm-pool
-#: match index (and interned fingerprints) the kernel queries directly.
-LANE_SCHEDULERS: Dict[
-    str, Tuple[Optional[str], int, Optional[Callable[[], EvictionPolicy]]]
-] = {
-    "lru": ("LRU", _DECIDE_EXACT, LRUEviction),
-    "keepalive": (
-        "KeepAlive",
-        _DECIDE_EXACT,
-        lambda: RejectNewcomerEviction(ttl_s=600.0),
-    ),
-    "greedy": ("Greedy-Match", _DECIDE_BEST, LRUEviction),
-    "coldonly": ("ColdOnly", _DECIDE_COLD, LRUEviction),
-    "zygote": ("Zygote", _DECIDE_ZYGOTE, LRUEviction),
-    "walways": ("W-AlwaysAdopt", _DECIDE_WALWAYS, LRUEviction),
-    "offline": ("Offline-Q", _DECIDE_OFFLINE, LRUEviction),
-    "faascache": (None, _DECIDE_SCRIPTED, None),
-    "lookahead": (None, _DECIDE_SCRIPTED, None),
-    "mpc": (None, _DECIDE_SCRIPTED, None),
-    "lending": (None, _DECIDE_SCRIPTED, None),
-}
-
 #: Default arrival-chunk size for streaming lane replay.  Large enough to
-#: amortize the per-chunk columnar lowering, small enough that chunk buffers
+#: amortize the per-chunk lowering, small enough that chunk buffers
 #: stay O(1) in the stream length.
 STREAM_CHUNK_SIZE = 4096
 
@@ -194,47 +116,42 @@ STREAM_CHUNK_SIZE = 4096
 _STARTUP_DONE = 0
 _EXECUTION_DONE = 1
 
-#: The cold-start decision tuple: (container, match, preserve, actions).
-_COLD: Tuple[Optional[Container], int, bool, tuple] = (None, 0, False, ())
 
-_MATCH_MEMBERS: Tuple[MatchLevel, ...] = tuple(MatchLevel)
+def _build_scheduler(key: str) -> Scheduler:
+    """A fresh registry scheduler; ``KeyError`` for unknown keys."""
+    import repro.schedulers as schedulers
 
-#: Zygote covering-test memo: (function fingerprints, container
-#: fingerprints) -> whether the container's package set covers the
-#: function's.  Fingerprint interning is exact (equal fingerprints iff
-#: equal package sets), so the memo key fully determines the answer; the
-#: table is process-wide like the fingerprint intern tables themselves.
-_COVERS: Dict[Tuple[tuple, tuple], bool] = {}
-
-_MISSING = object()
-
-
-def lane_supported_scheduler(key: str) -> bool:
-    """Whether scheduler registry ``key`` has a lane path (all keys do)."""
-    return key in LANE_SCHEDULERS
+    class_name = SCHEDULER_CLASS_NAMES.get(key)
+    if class_name is None:
+        raise KeyError(
+            f"scheduler {key!r} has no lane path; "
+            f"supported: {sorted(SCHEDULER_CLASS_NAMES)}"
+        )
+    return getattr(schedulers, class_name)()
 
 
 def lane_mode(key: str) -> str:
-    """``"closed-form"`` or ``"scripted"`` for a registry scheduler key."""
-    entry = LANE_SCHEDULERS[key]
-    return "scripted" if entry[1] == _DECIDE_SCRIPTED else "closed-form"
+    """How registry scheduler ``key`` runs in a lane: ``"scripted"`` (its
+    own ``decide()``) for every key; ``KeyError`` for unknown keys."""
+    if key not in SCHEDULER_CLASS_NAMES:
+        raise KeyError(key)
+    return "scripted"
 
 
 class ArrivalTable:
-    """Columnar (struct-of-arrays) lowering of one workload draw.
+    """Lowering of one workload draw, shared by every lane replaying it.
 
-    Built once per ``(workload, cost model)`` and shared read-only by every
-    lane that replays the draw.  Columns are parallel arrays over the
-    workload's arrival order (which the workload constructor already sorts
-    by ``(arrival_time, invocation_id)`` -- the same order the event queue
-    pops same-time arrivals in):
+    Built once per ``(workload, cost model)`` and read-only afterwards.
+    Fields are parallel over the workload's arrival order (which the
+    workload constructor already sorts by ``(arrival_time,
+    invocation_id)`` -- the same order the event queue pops same-time
+    arrivals in):
 
-    ``times`` / ``exec_s`` / ``ids``
-        Arrival timestamps, execution durations (float64) and invocation
-        ids (int64; scripted lanes rebuild the exact
-        :class:`~repro.workloads.workload.Invocation` from them).
+    ``invocations``
+        The :class:`~repro.workloads.workload.Invocation` rows themselves;
+        a lane hands each to its scheduler as the pending invocation.
     ``fn_ix``
-        Index into :attr:`specs` for each arrival (int32).
+        Index into :attr:`specs` for each arrival (``array('i')``).
     ``latency``
         ``latency[fn][int(match)]`` -- the startup latency of starting
         ``specs[fn]`` at a given Table-I match level, precomputed through
@@ -265,7 +182,7 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
         index_of: Dict[int, int],
         latency: List[List[float]],
     ) -> None:
-        """Populate the columns from ``invocations``.
+        """Populate the table from ``invocations``.
 
         ``specs`` / ``index_of`` / ``latency`` are the (shared, append-only)
         function registries -- chunk tables from one stream pass the same
@@ -275,21 +192,10 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
         self.name = name
         self.cost_model = cost_model
         self.workload = None
+        self.invocations = invocations
         self.n = len(invocations)
-        self.times = np.fromiter(
-            (inv.arrival_time for inv in invocations),
-            dtype=np.float64, count=self.n,
-        )
-        self.exec_s = np.fromiter(
-            (inv.execution_time_s for inv in invocations),
-            dtype=np.float64, count=self.n,
-        )
-        self.ids = np.fromiter(
-            (inv.invocation_id for inv in invocations),
-            dtype=np.int64, count=self.n,
-        )
-        fn_ix = np.empty(self.n, dtype=np.int32)
-        for i, inv in enumerate(invocations):
+        fn_ix = array("i")
+        for inv in invocations:
             spec = inv.spec
             key = id(spec)
             ix = index_of.get(key)
@@ -302,7 +208,7 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
                     ).total_s
                     for level in MatchLevel
                 ])
-            fn_ix[i] = ix
+            fn_ix.append(ix)
         self.fn_ix = fn_ix
         self.specs = specs
         self.latency = latency
@@ -314,7 +220,7 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
         chunk_size: int = STREAM_CHUNK_SIZE,
         cost_model: Optional[StartupCostModel] = None,
     ) -> Iterator["ArrivalTable"]:
-        """Lower a lazy arrival stream into bounded columnar chunks.
+        """Lower a lazy arrival stream into bounded chunks.
 
         Yields one table per ``chunk_size`` arrivals (the final chunk may
         be shorter; an empty stream yields nothing).  All chunks share one
@@ -341,52 +247,18 @@ StartupCostModel.breakdown` the sequential driver evaluates per arrival
             yield table
 
 
-def _offline_policy_for(table: ArrivalTable):
-    """The Offline-Q policy an ``observe_workload`` bootstrap would fit.
-
-    Replicates :meth:`OfflineQScheduler.observe_workload` exactly: a greedy
-    reference rollout of the table's workload on an unbounded pool, its
-    decision lines fitted into a tabular Q-policy.  The rollout is
-    deterministic (same workload, same rollout, same policy), so caching
-    the result on the table amortizes the bootstrap across every lane and
-    capacity replaying the same draw -- the sequential driver refits per
-    cell and gets bit-identical Q-values.  ``None`` when the table has no
-    materialized workload (stream chunks): the streaming driver never
-    bootstraps either, leaving Offline-Q on its greedy fallback.
-    """
-    if table.workload is None:
-        return None
-    policy = getattr(table, "_offline_policy", _MISSING)
-    if policy is _MISSING:
-        # Deferred imports: lanes must stay importable without dragging the
-        # whole simulator/DRL stack in at package-import time.
-        from repro.cluster.simulator import ClusterSimulator, SimulationConfig
-        from repro.drl.offline import fit_from_traces, trace_lines_from_result
-        from repro.schedulers.greedy import GreedyMatchScheduler
-
-        reference = GreedyMatchScheduler()
-        sim = ClusterSimulator(
-            SimulationConfig(pool_capacity_mb=float("inf")),
-            reference.make_eviction_policy(),
-        )
-        result = sim.run(table.workload, reference)
-        policy = fit_from_traces([trace_lines_from_result(result)])
-        table._offline_policy = policy
-    return policy
-
-
 @dataclass(frozen=True)
 class LaneSpec:
     """One lane of a kernel run: a scheduler replaying a workload draw.
 
-    ``scheduler`` must be a :data:`LANE_SCHEDULERS` key; ``table`` is the
-    (shareable) columnar lowering of the lane's workload and
+    ``scheduler`` must be a :data:`SCHEDULER_CLASS_NAMES` key; ``table`` is the
+    (shareable) lowering of the lane's workload and
     ``capacity_mb`` the warm-pool capacity of the cell.  ``bounded``
     selects :class:`~repro.cluster.telemetry.BoundedTelemetry`-equivalent
     folding (running totals plus quantile sketches instead of a latency
     column) -- the streaming replay's O(1)-memory mode.
-    :func:`run_stream_lanes` passes ``table=None`` and binds stream chunks
-    as they arrive.
+    :func:`run_stream_lanes` passes ``table=None`` and replays stream
+    chunks as they arrive.
     """
 
     scheduler: str
@@ -404,7 +276,7 @@ class LaneResult:
 
 
 class _Lane:
-    """Mutable per-lane simulation state (pool, heap, counters).
+    """Mutable per-lane simulation state (scheduler, pool, heap, counters).
 
     Only the fields the summary depends on are simulated; containers are
     real :class:`~repro.containers.container.Container` objects (the pool
@@ -415,47 +287,33 @@ class _Lane:
     """
 
     __slots__ = (
-        "table", "method", "decide_code", "scheduler", "eviction", "on_start",
-        "ttl_s", "pool", "next_cid", "live_mb", "peak_live_mb", "cold",
-        "evictions", "rejections", "ttl_expirations", "latencies", "heap",
-        "seq", "arr_i", "bounded", "lat_n", "lat_total", "lat_sketch",
-        "prewarmed", "lent", "prewarms_issued", "prewarm_reuses",
-        "prewarm_wasted", "lends_issued", "lend_reuses", "walways_costs",
-        "offline_policy", "offline_rows",
+        "scheduler", "method", "eviction", "on_start", "ttl_s", "pool",
+        "next_cid", "live_mb", "peak_live_mb", "cold", "evictions",
+        "rejections", "ttl_expirations", "latencies", "heap", "seq",
+        "bounded", "lat_n", "lat_total", "lat_sketch", "prewarmed", "lent",
+        "prewarms_issued", "prewarm_reuses", "prewarm_wasted",
+        "lends_issued", "lend_reuses",
     )
 
     def __init__(self, spec: LaneSpec) -> None:
-        display, decide_code, eviction_factory = LANE_SCHEDULERS[spec.scheduler]
+        scheduler = _build_scheduler(spec.scheduler)
+        scheduler.reset()
+        # Stream lanes (no table yet) never observe the workload, like the
+        # streaming driver.
         table = spec.table
-        self.table = table
-        self.decide_code = decide_code
-        if decide_code == _DECIDE_SCRIPTED:
-            # Deferred import: the schedulers package pulls in every policy
-            # module; closed-form lanes never pay for it.
-            import repro.schedulers as schedulers_pkg
-
-            scheduler = getattr(
-                schedulers_pkg, SCHEDULER_CLASS_NAMES[spec.scheduler]
-            )()
-            scheduler.reset()
-            if table is not None and table.workload is not None and hasattr(
-                scheduler, "observe_workload"
-            ):
-                scheduler.observe_workload(table.workload)
-            self.scheduler = scheduler
-            self.method = scheduler.name
-            self.eviction = (
-                scheduler.make_eviction_policy()
-                if hasattr(scheduler, "make_eviction_policy")
-                else LRUEviction()
-            )
-        else:
-            self.scheduler = None
-            self.method = display
-            self.eviction = eviction_factory()
+        if table is not None and table.workload is not None and hasattr(
+            scheduler, "observe_workload"
+        ):
+            scheduler.observe_workload(table.workload)
+        self.scheduler = scheduler
+        self.method = scheduler.name
+        self.eviction = (
+            scheduler.make_eviction_policy()
+            if hasattr(scheduler, "make_eviction_policy")
+            else LRUEviction()
+        )
         # Bind the start hook only when the policy actually overrides the
-        # base no-op (FaasCache's greedy-dual statistics); the closed-form
-        # hot paths then skip the per-arrival call entirely.
+        # base no-op (FaasCache's greedy-dual statistics).
         self.on_start = (
             self.eviction.on_function_start
             if type(self.eviction).on_function_start
@@ -472,16 +330,10 @@ class _Lane:
         self.rejections = 0
         self.ttl_expirations = 0
         self.bounded = spec.bounded
-        if spec.bounded:
-            self.latencies = None
-            self.lat_n = 0
-            self.lat_total = 0.0
-            self.lat_sketch = QuantileSketch(0.01)
-        else:
-            self.latencies = array("d")
-            self.lat_n = 0
-            self.lat_total = 0.0
-            self.lat_sketch = None
+        self.latencies = None if spec.bounded else array("d")
+        self.lat_n = 0
+        self.lat_total = 0.0
+        self.lat_sketch = QuantileSketch(0.01) if spec.bounded else None
         # Proactive-action bookkeeping, mirroring ContainerLifecycle's:
         # pre-warmed ids awaiting first claim, lent ids -> target function.
         self.prewarmed: set = set()
@@ -491,28 +343,12 @@ class _Lane:
         self.prewarm_wasted = 0
         self.lends_issued = 0
         self.lend_reuses = 0
-        # W-AlwaysAdopt delta-cost memo: (fn index, container fingerprints)
-        # -> delta total_s.  Sound because delta breakdowns depend only on
-        # the two images' package sets, which interned fingerprints
-        # determine exactly.
-        self.walways_costs: Dict[tuple, float] = {}
-        # Offline-Q: the trace-fitted policy (None -> greedy fallback, as
-        # in the streaming driver) and a per-function Q-row cache.
-        self.offline_policy = (
-            _offline_policy_for(table)
-            if decide_code == _DECIDE_OFFLINE and table is not None
-            else None
-        )
-        self.offline_rows: Dict[int, Optional[tuple]] = {}
         # Completion heap: (time, seq, kind, container, exec_s).  All
         # completions share event priority 1, so (time, seq) alone orders
-        # them exactly as the sequential queue does; only *relative* seq
-        # order matters, so batch lanes start past the arrival count purely
-        # to mirror the batch loader's numbering while stream lanes count
-        # from zero across chunks.
+        # them exactly as the sequential queue does; seq persists across
+        # stream chunks.
         self.heap: List[Tuple[float, int, int, Container, float]] = []
-        self.seq = table.n if table is not None else 0
-        self.arr_i = 0
+        self.seq = 0
 
     # -- event handling ------------------------------------------------------
     def _forget(self, container: Container) -> None:
@@ -572,235 +408,47 @@ class _Lane:
                 container.last_used_at = time
                 self._keep_alive(container, time)
 
-    def drain_all(self) -> None:
-        """Run out every in-flight completion (the ``finish()`` drain)."""
-        self.drain_until(float("inf"))
+    # -- decisions -----------------------------------------------------------
+    def replay(self, table: ArrivalTable) -> None:
+        """Decide and start every arrival of ``table``, in order.
 
-    # -- decision ------------------------------------------------------------
-    def score(
-        self, t: float
-    ) -> Tuple[Optional[Container], int, bool, tuple]:
-        """Decide the pending arrival.
-
-        Returns ``(container or None, match, preserve_image, actions)`` --
-        the same shape for every mode, so :meth:`apply` needs no dispatch.
-        Runs the per-pop TTL sweep at the arrival's time first (the
-        sequential loop sweeps on the arrival pop before the scheduler
-        sees the context), then resolves the decision through the pool's
-        match index (closed-form codes) or the registry scheduler's real
-        ``decide`` (scripted mode).
-        """
-        if self.ttl_s is not None and len(self.pool):
-            self._sweep(t)
-        code = self.decide_code
-        if code == _DECIDE_COLD:
-            return _COLD
-        table = self.table
-        i = self.arr_i
-        fn = table.fn_ix[i]
-        spec = table.specs[fn]
-        image = spec.image
-        if code == _DECIDE_EXACT:
-            container = self.pool.best_exact(image)
-            if container is None:
-                return _COLD
-            return container, 3, False, ()
-        if code == _DECIDE_BEST:
-            container, level = self.pool.best_match(image)
-            if container is None:
-                return _COLD
-            return container, int(level), False, ()
-        if code == _DECIDE_ZYGOTE:
-            return self._score_zygote(image)
-        if code == _DECIDE_WALWAYS:
-            return self._score_walways(fn, spec, image)
-        if code == _DECIDE_OFFLINE:
-            return self._score_offline(fn, spec, image)
-        return self._score_scripted(t, i, spec)
-
-    def _score_zygote(
-        self, image
-    ) -> Tuple[Optional[Container], int, bool, tuple]:
-        """ZygoteScheduler: smallest covering same-OS container (preserved
-        in place), else MRU exact match, else cold.
-
-        Same-OS candidates are exactly the L1 index bucket (fingerprint
-        interning makes ``os_packages`` equality a prefix-key lookup);
-        ``same_configuration`` is full-fingerprint equality; covering is
-        the memoized package-subset test.  The smallest-``(memory_mb, id)``
-        and MRU-exact picks are order-free, so bucket iteration order is
-        irrelevant.
+        Per arrival: drain the completions before it, run the TTL sweep at
+        its time (the sequential loop sweeps on the arrival pop before the
+        scheduler sees the context), then ask the scheduler's ``decide``
+        with the lane's one context re-pointed at the arrival.
+        ``worker_loads`` / ``queue_depths`` stay empty: they are only
+        populated under admission control, which lanes do not support.
         """
         pool = self.pool
-        candidates = pool.match_candidates(image, MatchLevel.L1)
-        if not candidates:
-            return _COLD
-        fps = image.fingerprints
-        needed = None
-        best = None
-        best_key = None
-        for c in candidates:
-            c_fps = c.image.fingerprints
-            if c_fps == fps:  # same_configuration <=> equal fingerprints
-                continue
-            pair = (fps, c_fps)
-            covers = _COVERS.get(pair)
-            if covers is None:
-                if needed is None:
-                    needed = frozenset(image.packages)
-                covers = _COVERS[pair] = (
-                    needed <= frozenset(c.image.packages)
-                )
-            if not covers:
-                continue
-            key = (c.memory_mb, c.container_id)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = c
-        if best is not None:
-            return best, int(match_level(image, best.image)), True, ()
-        exact = pool.best_exact(image)
-        if exact is None:
-            return _COLD
-        return exact, 3, False, ()
-
-    def _score_walways(
-        self, fn, spec, image
-    ) -> Tuple[Optional[Container], int, bool, tuple]:
-        """AlwaysAdoptScheduler: cheapest same-OS delta cost, adopted only
-        when it beats the cold-start latency.
-
-        The sequential scan visits idle containers LRU-first with a strict
-        ``<``, so the first minimizer in LRU order wins; sorting the L1
-        bucket by the MRU key reproduces that order exactly.
-        """
-        candidates = self.pool.match_candidates(image, MatchLevel.L1)
-        if not candidates:
-            return _COLD
-        if len(candidates) > 1:
-            candidates.sort(key=_mru_key)
-        costs = self.walways_costs
-        cost_model = self.table.cost_model
-        finit = spec.function_init_s
-        best = None
-        best_cost = math.inf
-        for c in candidates:
-            key = (fn, c.image.fingerprints)
-            cost = costs.get(key)
-            if cost is None:
-                cost = costs[key] = cost_model.delta_breakdown(
-                    image, c.image, finit
-                ).total_s
-            if cost < best_cost:
-                best_cost = cost
-                best = c
-        if best is not None and best_cost < self.table.latency[fn][0]:
-            return best, int(match_level(image, best.image)), False, ()
-        return _COLD
-
-    def _score_offline(
-        self, fn, spec, image
-    ) -> Tuple[Optional[Container], int, bool, tuple]:
-        """OfflineQScheduler: masked arg-max over the function's Q-row
-        (MRU container at exactly the chosen level), greedy fallback when
-        untrained / unseen / fully masked.
-
-        The availability mask and the first-occurrence arg-max replicate
-        ``masked_argmax`` over ``match_depth_counts``; Q-rows are cached
-        per function with NaN cells pre-resolved to ``None``.
-        """
-        pool = self.pool
-        policy = self.offline_policy
-        if policy is not None:
-            row = self.offline_rows.get(fn, _MISSING)
-            if row is _MISSING:
-                qvals = policy.action_values(spec.name)
-                row = (
-                    None if qvals is None else tuple(
-                        None if math.isnan(v) else float(v) for v in qvals
-                    )
-                )
-                self.offline_rows[fn] = row
-            if row is not None:
-                counts = pool.match_depth_counts(image)
-                best_a = -1
-                best_v = -math.inf
-                for a in range(4):
-                    v = row[a]
-                    if v is None:
-                        continue
-                    if a and not counts[a]:
-                        continue
-                    if v > best_v:  # strict > keeps the first (argmax) max
-                        best_v = v
-                        best_a = a
-                if best_a == 0:
-                    return _COLD
-                if best_a > 0:
-                    container = pool.best_at_level(image, _MATCH_MEMBERS[best_a])
-                    if container is not None:
-                        return container, best_a, False, ()
-                # Empty mask (or index drift) degrades to the greedy
-                # fallback, exactly as the scheduler's safety branch does.
-        container, level = pool.best_match(image)
-        if container is None:
-            return _COLD
-        return container, int(level), False, ()
-
-    def _score_scripted(
-        self, t: float, i: int, spec
-    ) -> Tuple[Optional[Container], int, bool, tuple]:
-        """Drive the registry scheduler's real ``decide`` for this arrival.
-
-        The context mirrors ``ClusterSimulator._context_for``: the pending
-        invocation rebuilt from the columns, idle containers sorted by
-        ``(last_used_at, container_id)`` (the PoolSet merge order), the
-        lane's own pool behind the index-backed helpers.  ``worker_loads``
-        / ``queue_depths`` stay empty -- no registry scheduler reads them
-        (they are only populated under admission control, which lanes do
-        not support).
-        """
-        table = self.table
-        pool = self.pool
-        invocation = Invocation(
-            invocation_id=int(table.ids[i]),
-            spec=spec,
-            arrival_time=float(table.times[i]),
-            execution_time_s=float(table.exec_s[i]),
-        )
+        decide = self.scheduler.decide
         ctx = SchedulingContext(
-            now=t,
-            invocation=invocation,
-            idle_containers=tuple(sorted(pool.lru_order(), key=_mru_key)),
-            cost_model=table.cost_model,
-            pool_capacity_mb=pool.capacity_mb,
-            pool_used_mb=pool.used_mb,
-            pool=pool,
+            now=0.0, invocation=None, idle_containers=None,
+            cost_model=table.cost_model, pool_capacity_mb=pool.capacity_mb,
+            pool_used_mb=pool.used_mb, pool=pool,
         )
-        decision = self.scheduler.decide(ctx)
-        if decision.container_id is None:
-            if decision.actions:
-                return None, 0, False, decision.actions
-            return _COLD
-        container = pool.get(decision.container_id)
-        match = int(match_level(spec.image, container.image))
-        return container, match, decision.preserve_image, decision.actions
+        rebind = ctx._rebind
+        latency = table.latency
+        fn_ix = table.fn_ix
+        ttl_active = self.ttl_s is not None
+        for i, invocation in enumerate(table.invocations):
+            t = invocation.arrival_time
+            self.drain_until(t)
+            if ttl_active and len(pool):
+                self._sweep(t)
+            rebind(t, invocation, pool.used_mb)
+            self._start(t, invocation, decide(ctx), latency[fn_ix[i]])
 
-    # -- application ---------------------------------------------------------
-    def apply(
+    def _start(
         self,
         t: float,
-        container: Optional[Container],
-        match: int,
-        preserve: bool = False,
-        actions: tuple = (),
+        invocation: Invocation,
+        decision: Decision,
+        latency_row: List[float],
     ) -> None:
-        """Execute the scored decision for the pending arrival."""
-        table = self.table
-        i = self.arr_i
-        fn = table.fn_ix[i]
-        spec = table.specs[fn]
-        if container is None:
+        """Execute ``decision`` for ``invocation`` (arriving at ``t``)."""
+        spec = invocation.spec
+        cid = decision.container_id
+        if cid is None:
             container = Container(
                 container_id=self.next_cid, image=spec.image,
                 created_at=t, last_used_at=0.0,
@@ -808,9 +456,10 @@ class _Lane:
             self.next_cid += 1
             self.live_mb += spec.image.memory_mb
             self.cold += 1
+            match = 0
         else:
-            cid = container.container_id
-            self.pool.remove(cid)
+            container = self.pool.remove(cid)
+            match = match_level(spec.image, container.image)
             container.state = ContainerState.STARTING
             if self.prewarmed and cid in self.prewarmed:
                 self.prewarmed.discard(cid)
@@ -819,7 +468,7 @@ class _Lane:
                 target = self.lent.pop(cid, None)
                 if target is not None and target == spec.name:
                     self.lend_reuses += 1
-            if not preserve:
+            if not decision.preserve_image:
                 # Repack: the image swap adjusts live memory exactly as
                 # ``ContainerLifecycle.repack`` does (new minus old);
                 # zygote-style preserve keeps the superset image in place.
@@ -828,7 +477,7 @@ class _Lane:
                 self.live_mb += spec.image.memory_mb - old_mb
         if self.live_mb > self.peak_live_mb:
             self.peak_live_mb = self.live_mb
-        latency = table.latency[fn][match]
+        latency = latency_row[match]
         if self.bounded:
             self.lat_n += 1
             self.lat_total += latency
@@ -842,21 +491,19 @@ class _Lane:
         heapq.heappush(
             self.heap,
             (t + latency, self.seq, _STARTUP_DONE, container,
-             float(table.exec_s[i])),
+             invocation.execution_time_s),
         )
         self.seq += 1
         if self.on_start is not None:
             self.on_start(spec.name, latency, container.memory_mb, t)
-        if actions:
-            for action in actions:
-                if isinstance(action, PrewarmRequest):
-                    self._prewarm(action.image, action.function_name, t)
-                else:
-                    self._lend(
-                        action.container_id, action.image,
-                        action.function_name, t,
-                    )
-        self.arr_i = i + 1
+        for action in decision.actions:
+            if isinstance(action, PrewarmRequest):
+                self._prewarm(action.image, action.function_name, t)
+            else:
+                self._lend(
+                    action.container_id, action.image,
+                    action.function_name, t,
+                )
 
     # -- proactive actions (pre-warm / lending) ------------------------------
     def _prewarm(self, image, function_name: str, now: float) -> None:
@@ -903,6 +550,12 @@ prewarm`` (idle creation, issue counter, pool entry via keep-alive)."""
             self.peak_live_mb = self.live_mb
 
     # -- results -------------------------------------------------------------
+    def finish(self) -> LaneResult:
+        """Run out every in-flight completion (the simulator's ``finish()``
+        drain) and return the cell's result."""
+        self.drain_until(float("inf"))
+        return LaneResult(method=self.method, summary=self.summary())
+
     def summary(self) -> Dict[str, float]:
         """The cell summary, key-for-key and bit-for-bit equal to
         :meth:`repro.cluster.telemetry.Telemetry.summary` (or
@@ -961,7 +614,7 @@ prewarm`` (idle creation, issue counter, pool entry via keep-alive)."""
 
 
 class LaneKernel:
-    """Advance many independent simulation lanes per step.
+    """Run many independent simulation lanes in one process.
 
     Parameters
     ----------
@@ -973,63 +626,19 @@ class LaneKernel:
 
     def __init__(self, specs: Sequence[LaneSpec]) -> None:
         for spec in specs:
-            if spec.scheduler not in LANE_SCHEDULERS:
-                raise KeyError(
-                    f"scheduler {spec.scheduler!r} has no lane path; "
-                    f"supported: {sorted(LANE_SCHEDULERS)}"
-                )
             if spec.table is None:
                 raise ValueError(
                     "LaneKernel lanes need a bound ArrivalTable; "
                     "use run_stream_lanes for chunked streaming replay"
                 )
-        self.lanes = [_Lane(spec) for spec in specs]
-
-    def _score_batch(
-        self, lanes: List[_Lane], times: np.ndarray
-    ) -> List[Tuple[Optional[Container], int, bool, tuple]]:
-        """Score one step's pending arrival across every active lane."""
-        return [lane.score(float(t)) for lane, t in zip(lanes, times)]
+        self.specs = list(specs)
+        self.lanes = [_Lane(spec) for spec in self.specs]
 
     def run(self) -> List[LaneResult]:
-        """Run every lane to completion; results in lane order.
-
-        Lockstep stepping: step ``k`` drains each active lane to its
-        ``k``-th arrival, batch-scores the pending decisions against the
-        lanes' pool indexes, then applies them.  The arrival cursors and
-        active mask live in numpy arrays; lanes finishing early drop out of
-        the step without stalling the rest.
-        """
-        lanes = self.lanes
-        n_arr = np.fromiter(
-            (lane.table.n for lane in lanes), dtype=np.int64,
-            count=len(lanes),
-        )
-        cursors = np.zeros(len(lanes), dtype=np.int64)
-        active_ix = np.flatnonzero(cursors < n_arr)
-        while active_ix.size:
-            active = [lanes[i] for i in active_ix]
-            # Batched arrival ingestion: this step's arrival timestamps,
-            # gathered straight from the shared columnar tables.
-            times = np.fromiter(
-                (lane.table.times[lane.arr_i] for lane in active),
-                dtype=np.float64, count=len(active),
-            )
-            for lane, t in zip(active, times):
-                lane.drain_until(t)
-            decisions = self._score_batch(active, times)
-            for lane, t, (container, match, preserve, actions) in zip(
-                active, times, decisions
-            ):
-                lane.apply(float(t), container, match, preserve, actions)
-            cursors[active_ix] += 1
-            active_ix = active_ix[cursors[active_ix] < n_arr[active_ix]]
-        for lane in lanes:
-            lane.drain_all()
-        return [
-            LaneResult(method=lane.method, summary=lane.summary())
-            for lane in lanes
-        ]
+        """Run every lane to completion; results in lane order."""
+        for lane, spec in zip(self.lanes, self.specs):
+            lane.replay(spec.table)
+        return [lane.finish() for lane in self.lanes]
 
 
 def run_stream_lanes(
@@ -1042,7 +651,7 @@ def run_stream_lanes(
 
     ``cells`` is one ``(scheduler key, capacity_mb)`` pair per lane; all
     lanes consume the same stream, lowered once into
-    :meth:`ArrivalTable.from_stream` chunks and re-bound to every lane as
+    :meth:`ArrivalTable.from_stream` chunks and replayed by every lane as
     each chunk arrives, so memory stays O(chunk + #functions + in-flight
     containers) regardless of stream length.  Lanes run in
     ``BoundedTelemetry``-equivalent folding; the result summaries are
@@ -1050,12 +659,6 @@ def run_stream_lanes(
     ``SimulationConfig(bounded_telemetry=True)`` per cell (the
     ``streaming_vs_materialized`` oracle pins this).
     """
-    for key, _capacity in cells:
-        if key not in LANE_SCHEDULERS:
-            raise KeyError(
-                f"scheduler {key!r} has no lane path; "
-                f"supported: {sorted(LANE_SCHEDULERS)}"
-            )
     lanes = [
         _Lane(LaneSpec(
             scheduler=key, table=None, capacity_mb=capacity, bounded=True,
@@ -1065,21 +668,6 @@ def run_stream_lanes(
     for chunk in ArrivalTable.from_stream(
         stream, chunk_size=chunk_size, cost_model=cost_model
     ):
-        times = chunk.times
         for lane in lanes:
-            lane.table = chunk
-            lane.arr_i = 0
-        for i in range(chunk.n):
-            t = float(times[i])
-            # Lanes are independent, so per-arrival interleaving is
-            # equivalent to the kernel's lockstep stepping.
-            for lane in lanes:
-                lane.drain_until(t)
-                container, match, preserve, actions = lane.score(t)
-                lane.apply(t, container, match, preserve, actions)
-    for lane in lanes:
-        lane.drain_all()
-    return [
-        LaneResult(method=lane.method, summary=lane.summary())
-        for lane in lanes
-    ]
+            lane.replay(chunk)
+    return [lane.finish() for lane in lanes]

@@ -27,7 +27,7 @@ container's image -- re-adding after a repack re-keys it.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.containers.container import Container
 from repro.containers.image import FunctionImage
@@ -41,6 +41,14 @@ class PoolFullError(RuntimeError):
 def _mru_key(container: Container) -> Tuple[float, int]:
     """Recency sort key: greater means more recently used."""
     return (container.last_used_at, container.container_id)
+
+
+def _most_recent(
+    containers: Iterable[Optional[Container]],
+) -> Optional[Container]:
+    """The most recently used of ``containers`` (``None`` entries skipped)."""
+    found = [c for c in containers if c is not None]
+    return max(found, key=_mru_key) if found else None
 
 
 class WarmPool:
@@ -234,8 +242,8 @@ class WarmPool:
         Equivalent to ``PoolSet.exact_matches(image)[0]`` on a single
         shard -- the bucket max under ``(last_used_at, container_id)`` is
         the head of the MRU-sorted candidate list -- without building or
-        sorting the list.  This is the lane kernel's fast path for the
-        LRU/KeepAlive decision rule.
+        sorting the list.  This is the exact-match rule of LRU, KeepAlive,
+        FaasCache and MPC-Prewarm.
         """
         bucket = self._idx_l3.get(image.fingerprints)
         if not bucket:
@@ -245,9 +253,9 @@ class WarmPool:
     def exact_matches(self, image: FunctionImage) -> List[Container]:
         """Idle containers fully (L3) matching ``image``, MRU first.
 
-        Single-shard equivalent of :meth:`PoolSet.exact_matches`, so the
-        lane kernel's scripted contexts can hand schedulers a ``pool``
-        that duck-types the set.
+        Single-shard equivalent of :meth:`PoolSet.exact_matches`, so a
+        lane can hand schedulers its ``WarmPool`` where the simulator
+        hands them a ``PoolSet``.
         """
         bucket = self._idx_l3.get(image.fingerprints)
         if not bucket:
@@ -267,8 +275,8 @@ class WarmPool:
         MRU within a level, so the exact-level MRU maximum is the same
         container.  Containers at exactly L2 are the L2-prefix bucket
         minus the L3 bucket; exactly L1 is the L1 bucket minus the L2
-        bucket (which contains the L3 one).  This is the lane kernel's
-        fast path for the Offline-Q level-targeted pick.
+        bucket (which contains the L3 one).  This is Offline-Q's
+        level-targeted pick.
         """
         f = image.fingerprints
         if level is MatchLevel.L3:
@@ -318,8 +326,11 @@ class PoolSet:
     and eviction policies operate on that worker's shard only.  With
     ``n_shards=1`` this degenerates to the single global pool.
 
-    Match-index queries (:meth:`best_match`, :meth:`match_depth_counts`,
-    :meth:`exact_matches`) aggregate the per-shard indexes.
+    Match-index queries (:meth:`best_match`, :meth:`best_exact`,
+    :meth:`best_at_level`, :meth:`match_candidates`,
+    :meth:`match_depth_counts`, :meth:`exact_matches`) aggregate the
+    per-shard indexes, so schedulers query a ``PoolSet`` and a lane's
+    single ``WarmPool`` alike.
     """
 
     def __init__(self, capacity_mb: float, n_shards: int = 1) -> None:
@@ -431,11 +442,39 @@ class PoolSet:
 
     def exact_matches(self, image: FunctionImage) -> List[Container]:
         """Idle containers fully (L3) matching ``image``, MRU first."""
-        matches: List[Container] = []
-        for shard in self._shards:
-            matches.extend(shard.match_candidates(image, MatchLevel.L3))
+        matches = self.match_candidates(image, MatchLevel.L3)
         matches.sort(key=_mru_key, reverse=True)
         return matches
+
+    def best_exact(self, image: FunctionImage) -> Optional[Container]:
+        """Most-recently-used exact (L3) match across shards, or None."""
+        if self.n_shards == 1:
+            return self._shards[0].best_exact(image)
+        return _most_recent(s.best_exact(image) for s in self._shards)
+
+    def match_candidates(
+        self, image: FunctionImage, level: MatchLevel
+    ) -> List[Container]:
+        """Idle containers matching ``image`` at least at ``level``, shard
+        by shard in index insertion order (callers needing recency order
+        sort by ``(last_used_at, container_id)``)."""
+        if self.n_shards == 1:
+            return self._shards[0].match_candidates(image, level)
+        matches: List[Container] = []
+        for shard in self._shards:
+            matches.extend(shard.match_candidates(image, level))
+        return matches
+
+    def best_at_level(
+        self, image: FunctionImage, level: MatchLevel
+    ) -> Optional[Container]:
+        """Most-recently-used container matching ``image`` at exactly
+        ``level`` across shards, or None."""
+        if self.n_shards == 1:
+            return self._shards[0].best_at_level(image, level)
+        return _most_recent(
+            s.best_at_level(image, level) for s in self._shards
+        )
 
     # -- mutation ---------------------------------------------------------------
     def add(self, container: Container, shard_index: int) -> None:

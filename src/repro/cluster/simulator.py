@@ -607,7 +607,7 @@ class ClusterSimulator:
         return SchedulingContext(
             now=now,
             invocation=invocation,
-            idle_containers=tuple(self.pool.lru_order()),
+            idle_containers=None,  # ordered from the pool on first read
             cost_model=self.config.cost_model,
             pool_capacity_mb=self.pool.capacity_mb,
             pool_used_mb=self.pool.used_mb,

@@ -19,15 +19,13 @@ interned per-level *fingerprints* (``FunctionImage.fingerprints``) -- three
 integer comparisons instead of three frozenset comparisons.  Interning makes
 this exact, not probabilistic: equal fingerprints are assigned iff the level
 sets are equal.  The original frozenset implementation is kept as
-:func:`match_level_sets` and can be cross-checked against the fingerprint
-path on every call by setting ``REPRO_MATCH_CROSS_CHECK=1`` in the
-environment (or flipping :data:`CROSS_CHECK` at runtime).
+:func:`match_level_sets`, the reference the property tests check the
+fingerprint path against.
 """
 
 from __future__ import annotations
 
 import enum
-import os
 from typing import Iterable, Optional, Tuple
 
 from repro.containers.image import FunctionImage
@@ -52,21 +50,13 @@ class MatchLevel(enum.IntEnum):
         return self is not MatchLevel.NO_MATCH
 
 
-#: True when ``REPRO_MATCH_CROSS_CHECK=1`` was set at import: every
-#: :func:`match_level` call then re-derives the level via the frozenset
-#: reference path and asserts agreement (debugging aid; read-only after
-#: import -- the binding of ``match_level`` is chosen once).
-CROSS_CHECK: bool = os.environ.get("REPRO_MATCH_CROSS_CHECK", "") not in ("", "0")
-
-
 def match_level_sets(
     function_image: FunctionImage, container_image: FunctionImage
 ) -> MatchLevel:
     """Reference Table-I matcher: level-by-level frozenset comparison.
 
-    Semantically identical to :func:`match_level`; kept as the
-    cross-checked fallback the fingerprint fast path is validated against
-    (property tests and :data:`CROSS_CHECK`).
+    Semantically identical to :func:`match_level`; kept as the reference
+    the property tests validate the fingerprint fast path against.
     """
     if function_image.level_set(PackageLevel.OS) != container_image.level_set(
         PackageLevel.OS
@@ -111,31 +101,6 @@ def match_level(
     # Tuples are interned, so distinct objects with equal L1 and L2
     # fingerprints necessarily differ at L3.
     return _L2
-
-
-_match_level_fast = match_level
-
-
-def match_level_checked(
-    function_image: FunctionImage, container_image: FunctionImage
-) -> MatchLevel:
-    """Fingerprint matcher cross-checked against the frozenset fallback.
-
-    Bound as ``match_level`` when ``REPRO_MATCH_CROSS_CHECK=1``; raises
-    ``AssertionError`` on any disagreement between the two paths.
-    """
-    level = _match_level_fast(function_image, container_image)
-    reference = match_level_sets(function_image, container_image)
-    assert level is reference, (
-        f"fingerprint matcher disagrees with frozenset matcher: "
-        f"{level!r} != {reference!r} for "
-        f"{function_image.name!r} vs {container_image.name!r}"
-    )
-    return level
-
-
-if CROSS_CHECK:  # pragma: no cover - exercised via the env toggle
-    match_level = match_level_checked
 
 
 def best_match(

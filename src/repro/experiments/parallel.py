@@ -46,7 +46,6 @@ from repro.cluster.lanes import (
     ArrivalTable,
     LaneKernel,
     LaneSpec,
-    lane_supported_scheduler,
 )
 from repro.experiments.cache import ExperimentCache, pool_sizes_cached
 from repro.experiments.common import (
@@ -197,19 +196,6 @@ def cached_arrival_table(name: str, seed: int) -> ArrivalTable:
     return table
 
 
-def lane_supported(task: GridTask) -> bool:
-    """Whether ``task`` can run on the lane kernel.
-
-    Grid cells all use the default single-shard, no-concurrency-limit
-    simulator configuration, so support hinges only on the scheduler having
-    a lane fast path -- which every registry key now does (closed-form or
-    scripted).  The ``stream`` flag is irrelevant: batch and stream
-    summaries are identical by the ``streaming_vs_materialized`` oracle's
-    guarantee, and the lane kernel reproduces both.
-    """
-    return lane_supported_scheduler(task.scheduler)
-
-
 def run_task(task: GridTask) -> GridCell:
     """Execute one grid cell (the worker entry point).
 
@@ -301,11 +287,11 @@ def run_grid(
 
     With ``lanes > 1``, every cache-missed cell runs in batches of
     ``lanes`` on the :class:`~repro.cluster.lanes.LaneKernel` -- many
-    cells per process step instead of one full simulator per cell.  The
-    whole scheduler registry has lane paths (closed-form or scripted), so
-    there is no silent sequential fallback: a task whose scheduler the
-    kernel does not know raises ``KeyError``, exactly as
-    :func:`build_scheduler` would.  Lane cells are byte-identical to
+    cells per process instead of one full simulator per cell.  Every lane
+    drives its registry scheduler's own ``decide()``, so there is no
+    silent sequential fallback: a task whose scheduler the registry does
+    not know raises ``KeyError``, exactly as :func:`build_scheduler`
+    would.  Lane cells are byte-identical to
     sequential ones (the ``lanes_vs_sequential`` oracle and hypothesis
     suite enforce this), so any grid accepts any ``lanes`` value.
     """
@@ -461,7 +447,7 @@ def run_default_grid(
 
     ``cache`` (optional) serves both the pool sizing and the grid cells
     content-addressed; the rendered report is byte-identical with the
-    cache on, off, cold or warm.  ``lanes > 1`` runs supported cells in
+    cache on, off, cold or warm.  ``lanes > 1`` runs the cells in
     lane-kernel batches (see :func:`run_grid`).
     """
     tasks = default_grid(scale, cache=cache, **grid_kwargs)

@@ -87,7 +87,8 @@ class Decision:
 
     @classmethod
     def cold(cls) -> "Decision":
-        return cls(container_id=None)
+        """The cold-start decision (one shared immutable instance)."""
+        return _COLD
 
     @classmethod
     def warm(cls, container_id: int, preserve_image: bool = False) -> "Decision":
@@ -104,6 +105,58 @@ class Decision:
         )
 
 
+_COLD = Decision()
+
+
+class _IdleContainers:
+    """``SchedulingContext.idle_containers``, ordered on first read.
+
+    A context built with ``idle_containers=None`` (the simulator's and the
+    lane kernel's) reads its pool's idle containers lazily, sorted
+    least-recently-used first by ``(last_used_at, container_id)``, so
+    policies that only query the match index never pay for the sort.
+    Hand-built contexts keep the tuple they were given.
+    """
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            raise AttributeError("idle_containers")  # required field
+        idle = ctx.__dict__["_idle"]
+        if idle is None:
+            from repro.cluster.pool import _mru_key
+
+            pool = ctx.__dict__["_pool"]
+            idle = () if pool is None else tuple(
+                sorted(pool.lru_order(), key=_mru_key)
+            )
+            ctx.__dict__["_idle"] = idle
+        return idle
+
+    def __set__(self, ctx, value) -> None:
+        ctx.__dict__["_idle"] = None if value is None else tuple(value)
+
+
+class _MatchIndex:
+    """``SchedulingContext.pool``: the live pool, or an index built on
+    first read over the containers a hand-built context was given."""
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return None  # the field's default
+        pool = ctx.__dict__["_pool"]
+        if pool is None:
+            from repro.cluster.pool import WarmPool
+
+            pool = WarmPool(float("inf"))
+            for container in ctx.idle_containers:
+                pool.add(container)
+            ctx.__dict__["_pool"] = pool
+        return pool
+
+    def __set__(self, ctx, value) -> None:
+        ctx.__dict__["_pool"] = value
+
+
 @dataclass(frozen=True)
 class SchedulingContext:
     """Read-only view handed to schedulers at each decision point.
@@ -115,17 +168,19 @@ class SchedulingContext:
     invocation:
         The arriving invocation to place.
     idle_containers:
-        Idle warm containers, least-recently-used first.
+        Idle warm containers, least-recently-used first.  Drivers pass
+        ``None`` and the tuple is built from :attr:`pool` on first read.
     cost_model:
         The cluster's startup cost model (for latency estimation).
     pool_capacity_mb, pool_used_mb:
         Warm-pool capacity state.
     pool:
-        The live warm pool (when provided by the simulator); its match
-        index turns :meth:`best_candidate`, :meth:`match_counts` and
-        :meth:`exact_matches` into dictionary lookups.  ``None`` in
-        hand-built contexts -- every helper falls back to scanning
-        ``idle_containers``.
+        The live warm pool (a :class:`~repro.cluster.pool.PoolSet`, or a
+        lane's :class:`~repro.cluster.pool.WarmPool`); its match index
+        turns :meth:`best_candidate`, :meth:`best_exact` and
+        :meth:`match_counts` into dictionary lookups.  A hand-built
+        context without one indexes its ``idle_containers`` on first
+        read, so every helper has one implementation.
     worker_loads:
         Hosted container count per worker (busy and idle alike), indexed
         by worker id.  Empty in hand-built contexts.
@@ -137,13 +192,27 @@ class SchedulingContext:
 
     now: float
     invocation: Invocation
-    idle_containers: Tuple[Container, ...]
+    idle_containers: Tuple[Container, ...] = _IdleContainers()
     cost_model: StartupCostModel
     pool_capacity_mb: float
     pool_used_mb: float
-    pool: Optional["PoolSet"] = None
+    pool: Optional["PoolSet"] = _MatchIndex()
     worker_loads: Tuple[int, ...] = ()
     queue_depths: Tuple[int, ...] = ()
+
+    def _rebind(
+        self, now: float, invocation: Invocation, pool_used_mb: float
+    ) -> None:
+        """Point a driver-owned context at its pool's next decision.
+
+        The lane kernel reuses one context per lane; this resets the
+        per-arrival fields and the lazily ordered idle tuple in place.
+        """
+        state = self.__dict__
+        state["now"] = now
+        state["invocation"] = invocation
+        state["pool_used_mb"] = pool_used_mb
+        state["_idle"] = None
 
     # -- helpers every scheduler needs -------------------------------------
     def match_of(self, container: Container) -> MatchLevel:
@@ -174,38 +243,18 @@ class SchedulingContext:
         return reusable
 
     def best_candidate(self) -> Tuple[Optional[Container], MatchLevel]:
-        """Deepest-matching idle container, MRU tie-break.
+        """Deepest-matching idle container, MRU tie-break; ``(None,
+        NO_MATCH)`` when nothing is reusable."""
+        return self.pool.best_match(self.invocation.spec.image)
 
-        Uses the warm pool's match index (dict lookups) when :attr:`pool`
-        is set; otherwise scans ``idle_containers``.  Returns
-        ``(None, NO_MATCH)`` when nothing is reusable.
-        """
-        if self.pool is not None:
-            return self.pool.best_match(self.invocation.spec.image)
-        reusable = self.reusable_containers()
-        if reusable:
-            return reusable[0]
-        return None, MatchLevel.NO_MATCH
-
-    def exact_matches(self) -> List[Container]:
-        """Idle containers whose configuration fully matches (L3)."""
-        if self.pool is not None:
-            return self.pool.exact_matches(self.invocation.spec.image)
-        return [c for c, m in self.reusable_containers() if m is MatchLevel.L3]
+    def best_exact(self) -> Optional[Container]:
+        """Most-recently-used fully (L3) matching idle container, or None."""
+        return self.pool.best_exact(self.invocation.spec.image)
 
     def match_counts(self) -> Dict[MatchLevel, int]:
-        """Idle-container counts per Table-I match level.
-
-        Served from the pool match index when available (per-depth counts
-        without recomputation); scan fallback otherwise.
-        """
-        if self.pool is not None:
-            depth = self.pool.match_depth_counts(self.invocation.spec.image)
-            return {lvl: depth[int(lvl)] for lvl in MatchLevel}
-        counts: Dict[MatchLevel, int] = {lvl: 0 for lvl in MatchLevel}
-        for c in self.idle_containers:
-            counts[self.match_of(c)] += 1
-        return counts
+        """Idle-container counts per Table-I match level."""
+        depth = self.pool.match_depth_counts(self.invocation.spec.image)
+        return {lvl: depth[int(lvl)] for lvl in MatchLevel}
 
 
 class Scheduler(abc.ABC):

@@ -22,7 +22,7 @@ class LRUScheduler(Scheduler):
 
     def decide(self, ctx: SchedulingContext) -> Decision:
         """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        exact = ctx.exact_matches()
-        if exact:
-            return Decision.warm(exact[0].container_id)
-        return Decision.cold()
+        exact = ctx.best_exact()  # most recently used full match
+        if exact is None:
+            return Decision.cold()
+        return Decision.warm(exact.container_id)

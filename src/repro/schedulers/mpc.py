@@ -21,6 +21,7 @@ from typing import Dict, Optional
 
 from repro.cluster.eviction import EvictionPolicy, RejectNewcomerEviction
 from repro.containers.image import FunctionImage
+from repro.containers.matching import MatchLevel
 from repro.schedulers.base import (
     Decision,
     PrewarmRequest,
@@ -135,9 +136,10 @@ class MPCScheduler(Scheduler):
         spec = ctx.invocation.spec
         self._images[spec.name] = spec.image
         self.forecaster.observe(spec.name, ctx.invocation.arrival_time)
-        exact = ctx.exact_matches()
+        exact = ctx.best_exact()
         decision = (
-            Decision.warm(exact[0].container_id) if exact else Decision.cold()
+            Decision.cold() if exact is None
+            else Decision.warm(exact.container_id)
         )
         if not self.forecast or self.prewarm_budget == 0:
             return decision
@@ -151,6 +153,7 @@ class MPCScheduler(Scheduler):
         """Pre-warm requests for functions forecast inside the horizon."""
         now = ctx.now
         deadline = now + self.horizon_s
+        claimed = decision.container_id
         plan = []
         for fn, image in self._images.items():
             if len(plan) >= self.prewarm_budget:
@@ -164,26 +167,12 @@ class MPCScheduler(Scheduler):
                 continue
             if self._prewarmed_for.get(fn) == predicted:
                 continue
-            if self._has_idle_exact(ctx, image, decision):
+            if any(
+                c.container_id != claimed
+                for c in ctx.pool.match_candidates(image, MatchLevel.L3)
+            ):
+                # An idle exact match stays pooled after this decision.
                 continue
             plan.append(PrewarmRequest(image=image, function_name=fn))
             self._prewarmed_for[fn] = predicted
         return plan
-
-    @staticmethod
-    def _has_idle_exact(
-        ctx: SchedulingContext, image: FunctionImage, decision: Decision
-    ) -> bool:
-        """Whether an idle exact match for ``image`` will remain pooled
-        (excluding the container this decision is about to claim)."""
-        if ctx.pool is not None:
-            candidates = ctx.pool.exact_matches(image)
-        else:
-            fingerprints = image.fingerprints
-            candidates = [
-                c for c in ctx.idle_containers
-                if c.image.fingerprints == fingerprints
-            ]
-        return any(
-            c.container_id != decision.container_id for c in candidates
-        )

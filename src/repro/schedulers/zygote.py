@@ -30,8 +30,15 @@ from typing import Dict, Iterable, List, Tuple
 
 from repro.cluster.eviction import LRUEviction
 from repro.containers.image import FunctionImage
+from repro.containers.matching import MatchLevel
 from repro.schedulers.base import Decision, Scheduler, SchedulingContext
 from repro.workloads.functions import FunctionSpec
+
+#: Covering-test memo: ``(function fingerprints, container fingerprints)``
+#: -> whether the container's packages include all of the function's.
+#: Interned fingerprints are equal iff the package sets are, so the key
+#: determines the answer; the table is process-wide like the intern tables.
+_COVERING: Dict[Tuple[tuple, tuple], bool] = {}
 
 
 def build_zygote_images(
@@ -69,23 +76,33 @@ class ZygoteScheduler(Scheduler):
         return LRUEviction()
 
     def decide(self, ctx: SchedulingContext) -> Decision:
-        """Choose a warm container (or cold start) for ``ctx.invocation``."""
-        needed = frozenset(ctx.invocation.spec.image.packages)
-        os_level = ctx.invocation.spec.image.os_packages
-        covering: List[Tuple[float, int]] = []
-        exact: List[int] = []
-        for container in ctx.idle_containers:
-            if container.image.os_packages != os_level:
-                continue
-            have = frozenset(container.image.packages)
-            if container.image.same_configuration(ctx.invocation.spec.image):
-                exact.append(container.container_id)
-            elif needed <= have:
-                # Prefer the smallest covering zygote (least memory pinned).
-                covering.append((container.memory_mb, container.container_id))
-        if covering:
-            covering.sort()
-            return Decision.warm(covering[0][1], preserve_image=True)
-        if exact:
-            return Decision.warm(exact[-1])  # most recently used
-        return Decision.cold()
+        """Smallest covering same-OS container, preserved in place; else
+        the most recently used exact match; else cold.
+
+        Same-OS candidates are exactly the pool's L1 index bucket and
+        ``same_configuration`` is full-fingerprint equality; the smallest
+        ``(memory_mb, container_id)`` pick is order-free.
+        """
+        image = ctx.invocation.spec.image
+        fps = image.fingerprints
+        best = None
+        best_key = None
+        for c in ctx.pool.match_candidates(image, MatchLevel.L1):
+            c_fps = c.image.fingerprints
+            if c_fps == fps:
+                continue  # exact match: the fallback below
+            covers = _COVERING.get((fps, c_fps))
+            if covers is None:
+                covers = _COVERING[fps, c_fps] = (
+                    frozenset(image.packages) <= frozenset(c.image.packages)
+                )
+            if covers:
+                key = (c.memory_mb, c.container_id)
+                if best_key is None or key < best_key:
+                    best, best_key = c, key
+        if best is not None:
+            return Decision.warm(best.container_id, preserve_image=True)
+        exact = ctx.best_exact()
+        if exact is None:
+            return Decision.cold()
+        return Decision.warm(exact.container_id)

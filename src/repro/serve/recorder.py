@@ -5,7 +5,11 @@ everything needed to rebuild the cluster (scheduler key, capacities,
 worker topology, keep-alive TTL), then one line per decision (function,
 stamped arrival time, execution time and the full decision outcome) and
 one line per scheduler hot-swap.  Lines are flushed as written, so a
-session interrupted at any point still replays up to its last decision.
+session interrupted at any point still replays up to its last decision:
+a final line torn by a crash mid-write is dropped and reported (a
+``RuntimeWarning`` from :func:`read_recording`,
+``ReplayReport.truncated`` from :func:`replay_recording`), while a
+malformed line anywhere else still raises.
 
 Replay (:func:`replay_recording`) rebuilds a fresh
 :class:`~repro.serve.engine.ServeEngine` from the header and re-submits
@@ -24,6 +28,7 @@ dynamics (fault sampling draws RNG state the log does not carry);
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Dict, Iterable, List, Optional, Tuple, Union
@@ -152,6 +157,8 @@ class ReplayReport:
     n_decisions: int
     n_swaps: int
     divergence: Optional[ServeDivergence]
+    #: Whether the recording's final line was torn mid-write (and dropped).
+    truncated: bool = False
 
     @property
     def ok(self) -> bool:
@@ -166,22 +173,51 @@ def read_recording(
 
     ``source`` is a path or an iterable of JSONL lines (e.g.
     :meth:`DecisionRecorder.lines`).  Raises ``ValueError`` on an empty
-    log or an unsupported header.
+    log, an unsupported header or a malformed line before the last; a
+    torn final line (a session that crashed mid-write) is dropped with a
+    ``RuntimeWarning`` and the complete prefix is returned.
     """
+    header, entries, truncated = _parse_recording(source)
+    if truncated:
+        warnings.warn(
+            f"serving recording ends in a torn line; read the "
+            f"{len(entries)} complete entries before it",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return header, entries
+
+
+def _parse_recording(
+    source: Union[str, Path, Iterable[str]],
+) -> Tuple[Dict[str, object], List[Dict[str, object]], bool]:
+    """``(header, entries, truncated)``; see :func:`read_recording`."""
     if isinstance(source, (str, Path)):
-        lines = Path(source).read_text(encoding="utf-8").splitlines()
-    else:
-        lines = [line for line in source if line.strip()]
+        source = Path(source).read_text(encoding="utf-8").splitlines()
+    lines = [line for line in source if line.strip()]
     if not lines:
         raise ValueError("empty serving recording")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except ValueError:
+        raise ValueError("malformed serving recording header") from None
     if header.get("kind") != "serve":
         raise ValueError(f"not a serving recording: {header!r}")
     if header.get("version") != RECORDING_VERSION:
         raise ValueError(
             f"unsupported recording version {header.get('version')!r}"
         )
-    return header, [json.loads(line) for line in lines[1:]]
+    entries = []
+    for number, line in enumerate(lines[1:], start=2):
+        try:
+            entries.append(json.loads(line))
+        except ValueError:
+            if number < len(lines):
+                raise ValueError(
+                    f"malformed serving recording line {number}"
+                ) from None
+            return header, entries, True
+    return header, entries, False
 
 
 def replay_recording(
@@ -193,12 +229,13 @@ def replay_recording(
     recorded arrival with its recorded stamp and execution time, applies
     scheduler swaps at their recorded positions, and compares each decision
     field-by-field.  ``verify=True`` additionally runs the invariant
-    monitors throughout the replay.  Stops at the first divergence.
+    monitors throughout the replay.  Stops at the first divergence.  A torn
+    final line is dropped and reported as ``ReplayReport.truncated``.
     """
     from repro.cluster.simulator import SimulationConfig
     from repro.serve.engine import ServeEngine
 
-    header, entries = read_recording(source)
+    header, entries, truncated = _parse_recording(source)
     config = SimulationConfig(
         pool_capacity_mb=header["pool_capacity_mb"],
         n_workers=header["n_workers"],
@@ -248,5 +285,6 @@ def replay_recording(
             break
     engine.drain()
     return ReplayReport(
-        n_decisions=n_decisions, n_swaps=n_swaps, divergence=divergence
+        n_decisions=n_decisions, n_swaps=n_swaps, divergence=divergence,
+        truncated=truncated,
     )

@@ -640,28 +640,17 @@ def oracle_lanes_vs_sequential() -> OracleResult:
 
     The scheduler list is derived from the *experiment registry*
     (``SCHEDULER_FACTORIES``), not a hardcoded grid, so a newly registered
-    scheduler is picked up automatically -- and the oracle fails loudly if
-    a registry key ever lacks a lane path (closed-form or scripted),
-    because ``run_grid(lanes=...)`` no longer falls back sequentially.
-    Every registry scheduler runs over two workload draws and two pool
-    capacities, once through the per-cell sequential simulator and once
-    through ``run_grid(lanes=8)``, comparing summaries with ``==`` (bit
-    equality, not tolerance) -- the lane kernel's whole contract, the
-    proactive pre-warm / lending telemetry blocks included.
+    scheduler is picked up automatically; every lane drives the
+    scheduler's own ``decide()``, and ``run_grid(lanes=...)`` never falls
+    back sequentially.  Every registry scheduler runs over two workload
+    draws and two pool capacities, once through the per-cell sequential
+    simulator and once through ``run_grid(lanes=8)``, comparing summaries
+    with ``==`` (bit equality, not tolerance) -- the lane kernel's whole
+    contract, the proactive pre-warm / lending telemetry blocks included.
     """
-    from repro.cluster.lanes import lane_supported_scheduler
     from repro.experiments.parallel import SCHEDULER_FACTORIES
 
     name = "lanes_vs_sequential"
-    unsupported = sorted(
-        key for key in SCHEDULER_FACTORIES
-        if not lane_supported_scheduler(key)
-    )
-    if unsupported:
-        return OracleResult(
-            name, False,
-            f"registry keys without a lane path: {unsupported}",
-        )
     tasks = [
         GridTask(scheduler=key, workload=workload, seed=seed,
                  pool_label="Fixed", capacity_mb=capacity)

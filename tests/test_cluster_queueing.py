@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cluster.eventloop import EventLoop, SimulationClock
+from repro.cluster.eventloop import EventLoop, VirtualClock
 from repro.cluster.events import EventKind
 from repro.cluster.eviction import LRUEviction
 from repro.cluster.placement import PlacementEngine
@@ -26,12 +26,12 @@ def spec_a(name="fa"):
 
 class TestSimulationClock:
     def test_advances_forward(self):
-        clock = SimulationClock()
+        clock = VirtualClock()
         assert clock.advance_to(5.0) == 5.0
         assert clock.now == 5.0
 
     def test_never_rewinds(self):
-        clock = SimulationClock(start=10.0)
+        clock = VirtualClock(start=10.0)
         assert clock.advance_to(3.0) == 10.0
         assert clock.now == 10.0
 

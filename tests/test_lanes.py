@@ -2,20 +2,22 @@
 
 Pinned properties:
 
+* Every lane drives its registry scheduler's own ``decide()``, exactly
+  once per arrival -- there is no second copy of any decision rule.
 * Every lane summary equals the sequential ``run_task`` summary for the
   same ``(scheduler, workload, seed, capacity)`` cell -- exact ``==`` on
   every float, not approx (property-based over the full scheduler
-  registry, closed-form and scripted lane modes alike, arbitrary seeds,
-  capacities including the 0/inf edges, and arbitrary lane counts).
+  registry, arbitrary seeds, capacities including the 0/inf edges, and
+  arbitrary lane counts).
 * Proactive Decision actions (MPC's ``PrewarmRequest``, Pagurus's
   ``LendRequest``) replay inside the lane lifecycle: the pre-warm /
   lending telemetry blocks match the sequential driver exactly.
 * ``run_grid(lanes=L)`` reproduces ``run_grid()`` cell-for-cell for any
   ``L`` over any registry schedulers, under process fan-out too; unknown
   scheduler keys raise instead of silently running sequentially.
-* ``ArrivalTable`` is a faithful columnar lowering of the workload it was
+* ``ArrivalTable`` is a faithful lowering of the workload it was
   built from; ``ArrivalTable.from_stream`` chunks reassemble to the same
-  columns for any chunk size (1, ragged, larger than the stream).
+  rows for any chunk size (1, ragged, larger than the stream).
 * ``run_stream_lanes`` is byte-identical to ``ClusterSimulator.run_stream``
   with bounded telemetry, per cell, for every registry scheduler and any
   chunk size.
@@ -30,14 +32,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.schedulers as schedulers
 from repro.cluster.lanes import (
-    LANE_SCHEDULERS,
     SCHEDULER_CLASS_NAMES,
     ArrivalTable,
     LaneKernel,
     LaneSpec,
     lane_mode,
-    lane_supported_scheduler,
     run_stream_lanes,
 )
 from repro.experiments.parallel import (
@@ -46,18 +47,11 @@ from repro.experiments.parallel import (
     GridTask,
     cached_arrival_table,
     cached_workload,
-    lane_supported,
     run_grid,
     run_task,
 )
 
-LANE_KEYS = sorted(LANE_SCHEDULERS)
-CLOSED_FORM_KEYS = sorted(
-    k for k in LANE_SCHEDULERS if lane_mode(k) == "closed-form"
-)
-SCRIPTED_KEYS = sorted(
-    k for k in LANE_SCHEDULERS if lane_mode(k) == "scripted"
-)
+LANE_KEYS = sorted(SCHEDULER_CLASS_NAMES)
 WORKLOADS = ("LO-Sim", "HI-Var")
 CAPACITIES = (0.0, 300.0, 800.0, 4000.0, float("inf"))
 
@@ -78,27 +72,34 @@ def lane_summary(task):
 
 class TestRegistry:
     def test_every_registry_key_lane_supported(self):
-        """The whole scheduler registry runs in lanes -- no silent
-        sequential fallback is possible for a registry key."""
-        assert set(LANE_SCHEDULERS) == set(SCHEDULER_FACTORIES)
-        assert set(LANE_SCHEDULERS) == set(SCHEDULER_CLASS_NAMES)
+        """The whole scheduler registry runs in lanes, all through the
+        scheduler's own ``decide()`` -- no silent sequential fallback is
+        possible for a registry key."""
+        assert set(SCHEDULER_FACTORIES) == set(SCHEDULER_CLASS_NAMES)
         for key in SCHEDULER_FACTORIES:
-            assert lane_supported_scheduler(key)
-            assert lane_supported(make_task(key))
-            assert lane_mode(key) in ("closed-form", "scripted")
-        assert not lane_supported_scheduler("nope")
-
-    def test_lane_modes(self):
-        assert lane_mode("lru") == "closed-form"
-        assert lane_mode("zygote") == "closed-form"
-        assert lane_mode("walways") == "closed-form"
-        assert lane_mode("offline") == "closed-form"
-        assert lane_mode("faascache") == "scripted"
-        assert lane_mode("mpc") == "scripted"
-        assert lane_mode("lending") == "scripted"
-        assert lane_mode("lookahead") == "scripted"
+            assert lane_mode(key) == "scripted"
         with pytest.raises(KeyError):
             lane_mode("nope")
+
+    @pytest.mark.parametrize("key", LANE_KEYS)
+    def test_lane_calls_decide_once_per_arrival(self, key, monkeypatch):
+        """Each key's lane asks its scheduler class's ``decide`` once per
+        arrival: the lane holds no copy of the decision rule."""
+        cls = getattr(schedulers, SCHEDULER_CLASS_NAMES[key])
+        real_decide = cls.decide
+        calls = []
+
+        def spy(self, ctx):
+            calls.append(ctx.invocation.invocation_id)
+            return real_decide(self, ctx)
+
+        monkeypatch.setattr(cls, "decide", spy)
+        table = cached_arrival_table("LO-Sim", 0)
+        [result] = LaneKernel([
+            LaneSpec(scheduler=key, table=table, capacity_mb=800.0)
+        ]).run()
+        assert calls == [inv.invocation_id for inv in table.workload]
+        assert result.summary["invocations"] == table.n
 
 
 class TestArrivalTable:
@@ -107,13 +108,7 @@ class TestArrivalTable:
         table = ArrivalTable(workload)
         arrivals = sorted(workload.invocations, key=lambda i: i.arrival_time)
         assert table.n == len(arrivals)
-        assert table.times.dtype == np.float64
-        np.testing.assert_array_equal(
-            table.times, [i.arrival_time for i in arrivals])
-        np.testing.assert_array_equal(
-            table.exec_s, [i.execution_time_s for i in arrivals])
-        np.testing.assert_array_equal(
-            table.ids, [i.invocation_id for i in arrivals])
+        assert table.invocations == arrivals
         for i, inv in enumerate(arrivals):
             assert table.specs[table.fn_ix[i]] is inv.spec
         assert table.workload is workload
@@ -136,12 +131,8 @@ class TestArrivalTable:
         assert sum(c.n for c in chunks) == whole.n
         for c in chunks[:-1]:
             assert c.n == chunk_size
-        np.testing.assert_array_equal(
-            np.concatenate([c.times for c in chunks]), whole.times)
-        np.testing.assert_array_equal(
-            np.concatenate([c.exec_s for c in chunks]), whole.exec_s)
-        np.testing.assert_array_equal(
-            np.concatenate([c.ids for c in chunks]), whole.ids)
+        assert [inv for c in chunks for inv in c.invocations] == (
+            whole.invocations)
         # Chunks share one function registry: identical spec objects,
         # identical latency rows, stable indices across chunk boundaries.
         assert all(c.specs is chunks[0].specs for c in chunks)
@@ -225,31 +216,14 @@ class TestLaneParity:
         assert list(result.summary.items()) == list(
             sequential.summary.items())
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=18, deadline=None)
     @given(
-        scheduler=st.sampled_from(CLOSED_FORM_KEYS),
+        scheduler=st.sampled_from(LANE_KEYS),
         workload=st.sampled_from(WORKLOADS),
         seed=st.integers(min_value=0, max_value=3),
         capacity=st.sampled_from(CAPACITIES),
     )
-    def test_closed_form_parity_property(
-        self, scheduler, workload, seed, capacity
-    ):
-        task = make_task(scheduler, workload, seed, capacity)
-        sequential = run_task(task)
-        result = lane_summary(task)
-        assert result.method == sequential.method
-        assert list(result.summary.items()) == list(
-            sequential.summary.items())
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        scheduler=st.sampled_from(SCRIPTED_KEYS),
-        workload=st.sampled_from(WORKLOADS),
-        seed=st.integers(min_value=0, max_value=3),
-        capacity=st.sampled_from(CAPACITIES),
-    )
-    def test_scripted_parity_property(
+    def test_registry_parity_property(
         self, scheduler, workload, seed, capacity
     ):
         task = make_task(scheduler, workload, seed, capacity)
@@ -357,9 +331,6 @@ class TestRunGridIntegration:
         """mpc/lending/offline cells are lane-lowered like every other
         registry key -- no sequential fallback -- and stay byte-identical
         to the sequential grid, proactive telemetry blocks included."""
-        for key in ("mpc", "lending", "offline"):
-            assert lane_supported(make_task(key))
-            assert lane_supported_scheduler(key)
         tasks = [make_task("lru"), make_task("mpc"), make_task("lending"),
                  make_task("offline"), make_task("greedy", seed=1)]
         sequential = run_grid(tasks, jobs=1)

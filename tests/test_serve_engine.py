@@ -11,6 +11,7 @@ from repro.serve import (
     DecisionRecorder,
     ServeClosed,
     ServeEngine,
+    read_recording,
     replay_recording,
 )
 
@@ -168,6 +169,31 @@ class TestRecordingReplay:
         path.write_text("\n".join(recorder.lines()) + "\n")
         report = replay_recording(path)
         assert report.ok and report.n_decisions == 12
+        assert not report.truncated
+
+    def test_torn_final_line_replays_complete_prefix(self, tmp_path):
+        """A session that crashed mid-write: the last line is cut off
+        mid-JSON.  The complete prefix replays and the tear is reported."""
+        lines = self._record_session().lines()
+        torn = lines[-1][: len(lines[-1]) // 2]
+        path = tmp_path / "torn.jsonl"
+        path.write_text("\n".join(lines[:-1] + [torn]))
+        with pytest.warns(RuntimeWarning, match="torn"):
+            header, entries = read_recording(path)
+        assert header["kind"] == "serve"
+        assert entries == [json.loads(line) for line in lines[1:-1]]
+        report = replay_recording(path, verify=True)
+        assert report.ok, str(report.divergence)
+        assert report.truncated
+        assert report.n_decisions == 11 and report.n_swaps == 1
+
+    def test_malformed_interior_line_still_raises(self):
+        lines = self._record_session().lines()
+        lines[3] = lines[3][:-2]
+        with pytest.raises(ValueError, match="line 4"):
+            read_recording(lines)
+        with pytest.raises(ValueError, match="line 4"):
+            replay_recording(lines)
 
     def test_fault_configs_are_rejected(self):
         from repro.cluster.faults import FaultConfig
