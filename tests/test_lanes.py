@@ -52,6 +52,13 @@ from repro.experiments.parallel import (
 )
 
 LANE_KEYS = sorted(SCHEDULER_CLASS_NAMES)
+#: Schedulers whose decide() keeps running statistics or emits proactive
+#: actions (greedy-dual frequencies, look-ahead windows, PrewarmRequest,
+#: LendRequest) -- the rest decide in closed form from the arrival and
+#: the pool. Both halves run through decide(); the split only spreads
+#: the property examples evenly over the two kinds of decision rule.
+SCRIPTED_KEYS = sorted(("faascache", "lookahead", "mpc", "lending"))
+CLOSED_FORM_KEYS = sorted(set(LANE_KEYS) - set(SCRIPTED_KEYS))
 WORKLOADS = ("LO-Sim", "HI-Var")
 CAPACITIES = (0.0, 300.0, 800.0, 4000.0, float("inf"))
 
@@ -216,22 +223,41 @@ class TestLaneParity:
         assert list(result.summary.items()) == list(
             sequential.summary.items())
 
-    @settings(max_examples=18, deadline=None)
-    @given(
-        scheduler=st.sampled_from(LANE_KEYS),
-        workload=st.sampled_from(WORKLOADS),
-        seed=st.integers(min_value=0, max_value=3),
-        capacity=st.sampled_from(CAPACITIES),
-    )
-    def test_registry_parity_property(
-        self, scheduler, workload, seed, capacity
-    ):
+    def check_parity(self, scheduler, workload, seed, capacity):
         task = make_task(scheduler, workload, seed, capacity)
         sequential = run_task(task)
         result = lane_summary(task)
         assert result.method == sequential.method
         assert list(result.summary.items()) == list(
             sequential.summary.items())
+
+    def test_parity_keys_cover_registry(self):
+        assert set(SCRIPTED_KEYS) <= set(LANE_KEYS)
+        assert sorted(CLOSED_FORM_KEYS + SCRIPTED_KEYS) == LANE_KEYS
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        scheduler=st.sampled_from(CLOSED_FORM_KEYS),
+        workload=st.sampled_from(WORKLOADS),
+        seed=st.integers(min_value=0, max_value=3),
+        capacity=st.sampled_from(CAPACITIES),
+    )
+    def test_closed_form_parity_property(
+        self, scheduler, workload, seed, capacity
+    ):
+        self.check_parity(scheduler, workload, seed, capacity)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        scheduler=st.sampled_from(SCRIPTED_KEYS),
+        workload=st.sampled_from(WORKLOADS),
+        seed=st.integers(min_value=0, max_value=3),
+        capacity=st.sampled_from(CAPACITIES),
+    )
+    def test_scripted_parity_property(
+        self, scheduler, workload, seed, capacity
+    ):
+        self.check_parity(scheduler, workload, seed, capacity)
 
     @settings(max_examples=10, deadline=None)
     @given(
