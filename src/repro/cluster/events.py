@@ -9,6 +9,14 @@ deterministic -- and makes the incremental arrival feed
 (``ClusterSimulator.run_stream``, which schedules each arrival just in
 time) pop events in exactly the order of the batch path, which schedules
 every arrival up front with the earliest sequence numbers.
+
+An :class:`Event` is a plain tuple ``(time, priority, seq, kind, payload)``
+with named fields, so ``heapq`` orders events with the C tuple comparison
+instead of a Python-level ``__lt__``.  ``seq`` is unique per queue, so two
+events never tie on the first three fields and ``kind`` and ``payload``
+are never compared.  Event times must be non-negative numbers; NaN is
+rejected because it compares false both ways and would silently break the
+heap order.
 """
 
 from __future__ import annotations
@@ -16,8 +24,7 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
 class EventKind(enum.Enum):
@@ -28,21 +35,24 @@ class EventKind(enum.Enum):
     EXECUTION_COMPLETE = "execution" # function finished executing
 
 
-@dataclass(frozen=True, order=True)
-class Event:
+class Event(NamedTuple):
     """A scheduled simulator event.
 
-    ``payload`` carries the invocation or container involved; it is excluded
-    from ordering so only ``(time, priority, seq)`` determine processing
-    order.  ``priority`` is derived from the kind (0 for arrivals, 1
-    otherwise) by :meth:`EventQueue.push`.
+    Ordering is tuple ordering on ``(time, priority, seq)``; ``seq`` is
+    unique, so ``kind`` and ``payload`` (the invocation or container
+    involved) never take part in a comparison.  ``priority`` is derived
+    from the kind (0 for arrivals, 1 otherwise) by :meth:`EventQueue.push`.
     """
 
     time: float
     priority: int
     seq: int
-    kind: EventKind = field(compare=False)
-    payload: Any = field(compare=False, default=None)
+    kind: EventKind
+    payload: Any = None
+
+
+_new_event = tuple.__new__
+_ARRIVAL = EventKind.ARRIVAL
 
 
 class EventQueue:
@@ -54,15 +64,12 @@ class EventQueue:
 
     def push(self, time: float, kind: EventKind, payload: Any = None) -> Event:
         """Schedule an event at ``time``; returns the created event."""
-        if time < 0:
-            raise ValueError("event time must be >= 0")
-        event = Event(
-            time=time,
-            priority=0 if kind is EventKind.ARRIVAL else 1,
-            seq=next(self._counter),
-            kind=kind,
-            payload=payload,
-        )
+        if not time >= 0:
+            raise ValueError("event time must be >= 0 (and not NaN)")
+        event = _new_event(Event, (
+            time, 0 if kind is _ARRIVAL else 1, next(self._counter),
+            kind, payload,
+        ))
         heapq.heappush(self._heap, event)
         return event
 

@@ -157,11 +157,42 @@ class StartupBreakdown:
         }
 
 
+#: Memo entries a model keeps before starting over (one per distinct
+#: ``(image, match, function_init_s)``; a 300-function trace needs at most
+#: 1.2k).  Bounds what a long-lived model holds on to across workloads.
+_MEMO_LIMIT = 1 << 14
+
+
 class StartupCostModel:
-    """Compute startup latencies for every Table-I match level."""
+    """Compute startup latencies for every Table-I match level.
+
+    :meth:`breakdown` is memoized per instance by ``(image, match,
+    function_init_s)``: a breakdown is a pure function of those and of
+    :attr:`params`, and the simulator asks for the same few hundred of
+    them on every arrival.  Rebinding :attr:`params` drops the memo, and
+    pickling leaves it behind (it keys on process-local object ids).
+    """
 
     def __init__(self, params: CostModelParams | None = None) -> None:
         self.params = params or CostModelParams()
+
+    @property
+    def params(self) -> CostModelParams:
+        """The model's parameters; rebinding them drops the memo."""
+        return self._params
+
+    @params.setter
+    def params(self, params: CostModelParams) -> None:
+        self._params = params
+        # (id(image), match, function_init_s) -> (image, breakdown); the
+        # image is held so its id cannot be reused while the entry lives.
+        self._memo: Dict[tuple, tuple] = {}
+
+    def __getstate__(self):
+        return {"params": self._params}
+
+    def __setstate__(self, state) -> None:
+        self.params = state["params"]
 
     # -- phase helpers -------------------------------------------------------
     def pull_time_s(self, packages: FrozenSet[Package]) -> float:
@@ -203,7 +234,24 @@ class StartupCostModel:
         """
         if function_init_s < 0:
             raise ValueError("function_init_s must be >= 0")
-        p = self.params
+        key = (id(image), match, function_init_s)
+        hit = self._memo.get(key)
+        if hit is not None and hit[0] is image:
+            return hit[1]
+        result = self._breakdown(image, match, function_init_s)
+        if len(self._memo) >= _MEMO_LIMIT:
+            self._memo.clear()
+        self._memo[key] = (image, result)
+        return result
+
+    def _breakdown(
+        self,
+        image: FunctionImage,
+        match: MatchLevel,
+        function_init_s: float,
+    ) -> StartupBreakdown:
+        """Uncached :meth:`breakdown`."""
+        p = self._params
         if match is MatchLevel.NO_MATCH:
             levels = (PackageLevel.OS, PackageLevel.LANGUAGE, PackageLevel.RUNTIME)
             pkgs = frozenset().union(*(image.level_set(lv) for lv in levels))

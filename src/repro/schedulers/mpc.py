@@ -13,11 +13,22 @@ at most ``prewarm_budget`` per decision and at most one outstanding
 pre-warm per predicted arrival.  The driver executes the requests through
 :meth:`ContainerLifecycle.prewarm`; telemetry's pre-warm block (issued /
 reused / wasted) measures the forecaster's hit rate.
+
+Planning is indexed by forecast time: the scheduler keeps the functions
+whose current forecast has not been pre-warmed in a list sorted by
+``(predicted, first_seen_rank)``, re-keys only the arriving function per
+decision, and bisects the horizon window out of it.  A decision therefore
+costs ``O(log F + W log W)`` for ``F`` known functions and ``W`` in the
+window, instead of a scan of every function ever seen, and visits the
+window in first-seen order -- the order of the plain scan, so the picks
+are the same.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.eviction import EvictionPolicy, RejectNewcomerEviction
 from repro.containers.image import FunctionImage
@@ -28,6 +39,9 @@ from repro.schedulers.base import (
     Scheduler,
     SchedulingContext,
 )
+
+_INF = float("inf")
+_rank_of = itemgetter(1)
 
 
 class ArrivalForecaster:
@@ -114,18 +128,27 @@ class MPCScheduler(Scheduler):
         self.ttl_s = ttl_s
         self.forecast = forecast
         self.forecaster = ArrivalForecaster(alpha=alpha)
-        # Registered function images, in first-seen (insertion) order --
-        # the deterministic iteration order of the planning loop.
+        # Registered function images and their first-seen rank -- the
+        # deterministic iteration order of the planning loop.
         self._images: Dict[str, FunctionImage] = {}
+        self._rank: Dict[str, int] = {}
         # Predicted arrival each function was last pre-warmed for: at most
         # one outstanding pre-warm per forecast point.
         self._prewarmed_for: Dict[str, float] = {}
+        # Plan index: sorted (predicted, rank, fn) rows, one per function
+        # whose current forecast has not been pre-warmed; _entry[fn] is
+        # the function's row.
+        self._index: List[Tuple[float, int, str]] = []
+        self._entry: Dict[str, Tuple[float, int, str]] = {}
 
     def reset(self) -> None:
         """Forget forecasts, registered images and outstanding pre-warms."""
         self.forecaster.reset()
         self._images.clear()
+        self._rank.clear()
         self._prewarmed_for.clear()
+        self._index.clear()
+        self._entry.clear()
 
     def make_eviction_policy(self) -> EvictionPolicy:
         """Keep-alive semantics for the reactive half."""
@@ -134,8 +157,12 @@ class MPCScheduler(Scheduler):
     def decide(self, ctx: SchedulingContext) -> Decision:
         """Keep-alive exact-match reuse plus the receding-horizon plan."""
         spec = ctx.invocation.spec
-        self._images[spec.name] = spec.image
-        self.forecaster.observe(spec.name, ctx.invocation.arrival_time)
+        fn = spec.name
+        self._images[fn] = spec.image
+        if fn not in self._rank:
+            self._rank[fn] = len(self._rank)
+        self.forecaster.observe(fn, ctx.invocation.arrival_time)
+        self._reindex(fn)
         exact = ctx.best_exact()
         decision = (
             Decision.cold() if exact is None
@@ -149,24 +176,47 @@ class MPCScheduler(Scheduler):
         return decision
 
     # -- planning ------------------------------------------------------------
+    def _drop(self, fn: str) -> None:
+        """Remove ``fn``'s row from the plan index, if it has one."""
+        entry = self._entry.pop(fn, None)
+        if entry is not None:
+            del self._index[bisect_left(self._index, entry)]
+
+    def _reindex(self, fn: str) -> None:
+        """Re-key ``fn``'s row on its current forecast."""
+        self._drop(fn)
+        predicted = self.forecaster.predict_next(fn)
+        if (
+            predicted is None
+            or predicted != predicted  # NaN is never inside a window
+            or self._prewarmed_for.get(fn) == predicted
+        ):
+            return
+        entry = (predicted, self._rank[fn], fn)
+        insort(self._index, entry)
+        self._entry[fn] = entry
+
     def _plan(self, ctx: SchedulingContext, decision: Decision) -> list:
         """Pre-warm requests for functions forecast inside the horizon."""
         now = ctx.now
-        deadline = now + self.horizon_s
+        index = self._index
+        # Rows with now < predicted <= now + horizon_s, in first-seen order.
+        window = index[
+            bisect_right(index, (now, _INF)):
+            bisect_right(index, (now + self.horizon_s, _INF))
+        ]
+        window.sort(key=_rank_of)
+        arriving = ctx.invocation.spec.name
         claimed = decision.container_id
         plan = []
-        for fn, image in self._images.items():
+        for predicted, _rank, fn in window:
             if len(plan) >= self.prewarm_budget:
                 break
-            if fn == ctx.invocation.spec.name:
+            if fn == arriving:
                 # The container this very decision starts (or claims) will
                 # serve the function's next arrival if keep-alive holds it.
                 continue
-            predicted = self.forecaster.predict_next(fn)
-            if predicted is None or not (now < predicted <= deadline):
-                continue
-            if self._prewarmed_for.get(fn) == predicted:
-                continue
+            image = self._images[fn]
             if any(
                 c.container_id != claimed
                 for c in ctx.pool.match_candidates(image, MatchLevel.L3)
@@ -175,4 +225,5 @@ class MPCScheduler(Scheduler):
                 continue
             plan.append(PrewarmRequest(image=image, function_name=fn))
             self._prewarmed_for[fn] = predicted
+            self._drop(fn)
         return plan

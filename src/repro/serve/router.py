@@ -22,11 +22,17 @@ __all__ = ["HttpError", "Request", "Router", "json_response", "read_request"]
 _MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 64 * 1024
 
+#: Seconds a client gets to send one whole request (head and body).  A
+#: connection that sends nothing, or trickles its request, is answered 408
+#: and closed, so an idle client cannot hold up :meth:`ServePlane.stop`.
+REQUEST_READ_TIMEOUT_S = 10.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -69,8 +75,21 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
 
     Returns ``None`` if the peer closed the connection before sending a
     request line; raises :class:`HttpError` on malformed or oversized
-    input.
+    input, and with status 408 if the request is not complete within
+    :data:`REQUEST_READ_TIMEOUT_S`.
     """
+    try:
+        return await asyncio.wait_for(
+            _read_request(reader), REQUEST_READ_TIMEOUT_S
+        )
+    except asyncio.TimeoutError:
+        raise HttpError(
+            408, f"request not received within {REQUEST_READ_TIMEOUT_S:g} s"
+        ) from None
+
+
+async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+    """:func:`read_request` without the deadline."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:

@@ -25,6 +25,23 @@ class TestEventQueue:
         with pytest.raises(ValueError):
             EventQueue().push(-1.0, EventKind.ARRIVAL)
 
+    def test_nan_time_rejected(self):
+        # NaN compares false both ways: accepted, it would break heap order.
+        q = EventQueue()
+        with pytest.raises(ValueError):
+            q.push(float("nan"), EventKind.ARRIVAL)
+        assert not q
+
+    def test_events_are_tuples_ordered_by_time_priority_seq(self):
+        q = EventQueue()
+        done = q.push(1.0, EventKind.EXECUTION_COMPLETE, {"unorderable": 1})
+        arrival = q.push(1.0, EventKind.ARRIVAL, {"unorderable": 2})
+        assert isinstance(done, tuple)
+        assert (done.time, done.priority, done.seq) == (1.0, 1, 0)
+        assert (arrival.priority, arrival.seq) == (0, 1)
+        assert arrival < done
+        assert q.pop() is arrival and q.pop() is done
+
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             EventQueue().pop()

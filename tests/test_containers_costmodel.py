@@ -1,5 +1,7 @@
 """Tests for the startup cost model and its paper calibration bands."""
 
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,6 +114,40 @@ class TestBreakdown:
         assert model.runtime_init_time_s(java) > 5 * model.runtime_init_time_s(
             python
         )
+
+
+class TestBreakdownMemo:
+    def test_repeated_calls_return_equal_breakdowns(self, model):
+        for spec in fstartbench_functions():
+            for lvl in MatchLevel:
+                first = model.breakdown(spec.image, lvl, spec.function_init_s)
+                again = model.breakdown(spec.image, lvl, spec.function_init_s)
+                fresh = StartupCostModel().breakdown(
+                    spec.image, lvl, spec.function_init_s
+                )
+                assert first == again == fresh
+
+    def test_negative_function_init_raises_on_every_call(self, model):
+        image = make_image("f")
+        model.breakdown(image, MatchLevel.L3, 0.5)
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                model.breakdown(image, MatchLevel.L3, -0.5)
+
+    def test_pickled_model_carries_no_memo(self, model):
+        image = make_image("f")
+        before = model.breakdown(image, MatchLevel.NO_MATCH, 0.2)
+        assert model._memo
+        clone = pickle.loads(pickle.dumps(model))
+        assert clone._memo == {}
+        assert clone.params == model.params
+        assert clone.breakdown(image, MatchLevel.NO_MATCH, 0.2) == before
+
+    def test_rebinding_params_changes_the_result(self, model):
+        image = make_image("f")
+        assert model.breakdown(image, MatchLevel.NO_MATCH, 0.2).create_s == 0.30
+        model.params = CostModelParams(create_s=1.25)
+        assert model.breakdown(image, MatchLevel.NO_MATCH, 0.2).create_s == 1.25
 
 
 class TestPaperCalibration:

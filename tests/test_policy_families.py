@@ -1,10 +1,13 @@
 """Property and metamorphic wall for the proactive policy families.
 
-Four Hypothesis property suites:
+Five Hypothesis property suites:
 
 * **pre-warm budget** -- an :class:`MPCScheduler` decision never carries
   more than ``prewarm_budget`` pre-warm requests, whatever the horizon,
   smoothing factor or workload draw;
+* **indexed plan == scan plan** -- the forecast-time index behind
+  :class:`MPCScheduler` picks exactly the pre-warms of a brute-force scan
+  over every function seen, in first-seen order;
 * **invariants under faults** -- MPC and lending runs with the full
   invariant harness attached (conservation, capacity, volume pairing)
   stay violation-free on a sharded, concurrency-limited, fault-injected
@@ -33,8 +36,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.faults import FaultConfig
 from repro.cluster.simulator import ClusterSimulator, SimulationConfig
+from repro.containers.matching import MatchLevel
 from repro.drl.offline import fit_from_traces, trace_lines_from_result
-from repro.schedulers.base import LendRequest, PrewarmRequest
+from repro.schedulers.base import Decision, LendRequest, PrewarmRequest
 from repro.schedulers.greedy import GreedyMatchScheduler
 from repro.schedulers.lending import PagurusLendingScheduler
 from repro.schedulers.mpc import ArrivalForecaster, MPCScheduler
@@ -112,6 +116,111 @@ def test_budget_zero_decisions_carry_no_actions():
     scheduler.reset()
     for decision in drive_decisions(scheduler, small_workload()):
         assert decision.actions == ()
+
+
+# ---------------------------------------------------------------------------
+# Property: the indexed MPC plan equals a brute-force scan
+# ---------------------------------------------------------------------------
+
+class _ScanMPC:
+    """Reference MPC planner: scans every function seen, in first-seen
+    order, on every decision (the plan before it was indexed)."""
+
+    def __init__(self, horizon_s, prewarm_budget, alpha):
+        self.horizon_s = horizon_s
+        self.prewarm_budget = prewarm_budget
+        self.forecaster = ArrivalForecaster(alpha=alpha)
+        self._images = {}
+        self._prewarmed_for = {}
+
+    def reset(self):
+        self.forecaster.reset()
+        self._images.clear()
+        self._prewarmed_for.clear()
+
+    def decide(self, ctx):
+        spec = ctx.invocation.spec
+        self._images[spec.name] = spec.image
+        self.forecaster.observe(spec.name, ctx.invocation.arrival_time)
+        exact = ctx.best_exact()
+        decision = (
+            Decision.cold() if exact is None
+            else Decision.warm(exact.container_id)
+        )
+        if self.prewarm_budget == 0:
+            return decision
+        plan = self._plan(ctx, decision)
+        return decision.with_actions(plan) if plan else decision
+
+    def _plan(self, ctx, decision):
+        now = ctx.now
+        deadline = now + self.horizon_s
+        claimed = decision.container_id
+        plan = []
+        for fn, image in self._images.items():
+            if len(plan) >= self.prewarm_budget:
+                break
+            if fn == ctx.invocation.spec.name:
+                continue
+            predicted = self.forecaster.predict_next(fn)
+            if predicted is None or not (now < predicted <= deadline):
+                continue
+            if self._prewarmed_for.get(fn) == predicted:
+                continue
+            if any(
+                c.container_id != claimed
+                for c in ctx.pool.match_candidates(image, MatchLevel.L3)
+            ):
+                continue
+            plan.append(PrewarmRequest(image=image, function_name=fn))
+            self._prewarmed_for[fn] = predicted
+        return plan
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    arrivals=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=5),
+                  st.integers(min_value=0, max_value=40)),
+        min_size=1, max_size=60,
+    ),
+    horizon_s=st.sampled_from([1.0, 2.0, 5.0, 12.5, 30.0]),
+    prewarm_budget=st.integers(min_value=0, max_value=3),
+    alpha=st.sampled_from([0.25, 0.5, 1.0]),
+    capacity_mb=st.sampled_from([400.0, 1500.0]),
+    reset_frac=st.floats(min_value=0.0, max_value=1.0),
+)
+def test_indexed_plan_matches_scan(arrivals, horizon_s, prewarm_budget,
+                                   alpha, capacity_mb, reset_frac):
+    """Integer arrival times and dyadic ``alpha`` make forecasts land
+    exactly on window edges and on each other; repeated times give
+    simultaneous arrivals; a ``reset()`` part-way restarts both planners
+    against a pool that still holds the earlier containers."""
+    specs = tuple(function_by_id(i) for i in (1, 2, 3, 4, 6, 8))
+    workload = Workload.from_invocations("mpc-index", [
+        Invocation(invocation_id=i, spec=specs[f], arrival_time=float(t),
+                   execution_time_s=1.5)
+        for i, (f, t) in enumerate(arrivals)
+    ])
+    indexed = MPCScheduler(horizon_s=horizon_s,
+                           prewarm_budget=prewarm_budget, alpha=alpha)
+    scan = _ScanMPC(horizon_s, prewarm_budget, alpha)
+    sim = ClusterSimulator(SimulationConfig(pool_capacity_mb=capacity_mb),
+                           indexed.make_eviction_policy())
+    sim.load(workload)
+    reset_at = int(reset_frac * len(arrivals))
+    step = 0
+    while (ctx := sim.next_decision_point()) is not None:
+        if step == reset_at:
+            indexed.reset()
+            scan.reset()
+        decision = indexed.decide(ctx)
+        expected = scan.decide(ctx)
+        assert decision.actions == expected.actions
+        assert decision.container_id == expected.container_id
+        sim.apply_decision(decision)
+        step += 1
+    sim.finish(scheduler_name=indexed.name)
 
 
 # ---------------------------------------------------------------------------

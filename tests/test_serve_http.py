@@ -16,6 +16,7 @@ import pytest
 from repro.cluster.eventloop import VirtualClock
 from repro.cluster.simulator import SimulationConfig
 from repro.serve import DecisionRecorder, ServeEngine, ServePlane, http_json
+from repro.serve import router
 from repro.serve.client import http_json as client_http_json
 
 
@@ -103,6 +104,28 @@ class TestEndpoints:
             response = await reader.read()
             writer.close()
             assert b"400" in response.split(b"\r\n", 1)[0]
+
+        asyncio.run(_serving(plane, body))
+
+    def test_slow_body_gets_408(self, monkeypatch):
+        monkeypatch.setattr(router, "REQUEST_READ_TIMEOUT_S", 0.2)
+        engine, plane, _ = _plane()
+
+        async def body():
+            reader, writer = await asyncio.open_connection(
+                plane.host, plane.port
+            )
+            # The head promises a body that never arrives in full.
+            writer.write(
+                b"POST /invoke HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: 64\r\n\r\n{\"function\""
+            )
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+            assert "error" in json.loads(response.split(b"\r\n\r\n", 1)[1])
+            assert plane.admission.accepted == 0
 
         asyncio.run(_serving(plane, body))
 

@@ -13,6 +13,7 @@ import pytest
 from repro.cluster.eventloop import VirtualClock
 from repro.cluster.simulator import SimulationConfig
 from repro.serve import Janitor, ServeEngine, ServePlane, ServeStats, http_json
+from repro.serve import router
 
 
 def _engine(config=None, **kwargs):
@@ -90,6 +91,29 @@ class TestGracefulShutdown:
                 await plane.stop()
 
         asyncio.run(body())
+
+    def test_idle_connection_does_not_block_stop(self, monkeypatch):
+        # A client that connects and never sends a byte is answered 408
+        # once the read deadline passes, so stop() still returns.
+        monkeypatch.setattr(router, "REQUEST_READ_TIMEOUT_S", 0.2)
+        engine, _ = _engine()
+        plane = ServePlane(engine)
+
+        async def body():
+            await plane.start()
+            reader, writer = await asyncio.open_connection(
+                plane.host, plane.port
+            )
+            await asyncio.sleep(0.05)  # let the server accept it
+            result = await asyncio.wait_for(plane.stop(), timeout=5.0)
+            response = await reader.read()
+            writer.close()
+            return result, response
+
+        result, response = asyncio.run(body())
+        assert response.startswith(b"HTTP/1.1 408 ")
+        assert result.summary()["invocations"] == 0.0
+        assert engine.closed
 
 
 class TestJanitor:
