@@ -17,20 +17,47 @@ not the mean -- is guarded because shared/virtualized hosts add steal
 time that inflates the mean unboundedly under load, while the fastest of
 hundreds of rounds lands in a quiet slice and only moves when the code
 itself slows down.
+
+The host's own speed still drifts (a busy neighbour slows every quiet
+slice too), so the guard compares *probe-scaled* min times: right after
+each benchmark it times a fixed pure-Python probe loop
+(``perfbench.hostspeed.probe``, fastest of :data:`PROBE_REPEATS`) and
+rescales the observed min by the baseline's capture-time probe
+(``host_probe_s``) over that reading.  A host twice as slow as at capture
+doubles both, so only a slowdown of the code itself fails.
 """
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.experiments.common import ExperimentScale
 
-BASELINE_PATH = Path(__file__).resolve().parent / "bench_baseline.json"
+BENCH_DIR = Path(__file__).resolve().parent
+BASELINE_PATH = BENCH_DIR / "bench_baseline.json"
 
-#: Allowed slowdown over the captured baseline mean before the guard fails.
+# The probe lives with the end-to-end benchmark at the repository root.
+if str(BENCH_DIR.parent) not in sys.path:
+    sys.path.insert(0, str(BENCH_DIR.parent))
+from perfbench.hostspeed import probe  # noqa: E402
+
+#: Allowed slowdown over the captured baseline min before the guard fails.
 REGRESSION_FACTOR = 1.30
+
+#: Baseline key of the capture-time host probe (seconds).
+PROBE_KEY = "host_probe_s"
+
+#: Probe runs per reading; the fastest stands for the host's quiet speed,
+#: as the min round time does for the benchmark.
+PROBE_REPEATS = 15
+
+
+def host_probe_s() -> float:
+    """The host's current probe time: the fastest of a few probe runs."""
+    return min(probe() for _ in range(PROBE_REPEATS))
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +83,8 @@ def emit(capsys):
 
 @pytest.fixture(scope="session")
 def bench_baseline():
-    """Captured baselines, ``{test_name: min_seconds}`` (may be {})."""
+    """Captured baselines, ``{test_name: min_seconds}`` plus the capture's
+    ``host_probe_s`` (may be {})."""
     if not BASELINE_PATH.exists():
         return {}
     return json.loads(BASELINE_PATH.read_text())
@@ -64,7 +92,8 @@ def bench_baseline():
 
 @pytest.fixture(autouse=True)
 def bench_regression_guard(request, bench_baseline):
-    """Fail any benchmark whose min round regressed >30% past baseline.
+    """Fail any benchmark whose probe-scaled min round regressed >30%
+    past baseline.
 
     Applies only to tests that used the ``benchmark`` fixture and have an
     entry in ``bench_baseline.json``; absolute-threshold asserts inside the
@@ -98,6 +127,10 @@ def bench_regression_guard(request, bench_baseline):
         )
     except (ImportError, AttributeError):  # pragma: no cover - non-POSIX
         pass
+    # The host's speed right after the run, for the probe-scaled check
+    # here and for the capture tool (which keeps the median reading).
+    current_probe = host_probe_s()
+    benchmark.extra_info["host_probe_s"] = current_probe
     if os.environ.get("REPRO_BENCH_GUARD", "").lower() in ("off", "0"):
         return
     if getattr(benchmark, "extra_info", {}).get("no_guard"):
@@ -109,10 +142,15 @@ def bench_regression_guard(request, bench_baseline):
         observed = benchmark.stats["min"]
     except (TypeError, KeyError, AttributeError):
         return  # benchmark disabled/skipped: nothing was measured
+    # Rescale to the capture host's speed (unscaled for a baseline
+    # captured without a probe).
+    scale = bench_baseline.get(PROBE_KEY, current_probe) / current_probe
+    scaled = observed * scale
     allowed = baseline_min * REGRESSION_FACTOR
-    if observed > allowed:
+    if scaled > allowed:
         pytest.fail(
-            f"{request.node.name}: min {observed * 1e3:.3f} ms regressed "
+            f"{request.node.name}: min {observed * 1e3:.3f} ms (probe-scaled "
+            f"x{scale:.2f} to {scaled * 1e3:.3f} ms) regressed "
             f"past {REGRESSION_FACTOR:.2f}x baseline "
             f"({baseline_min * 1e3:.3f} ms -> allowed "
             f"{allowed * 1e3:.3f} ms); if intentional, refresh with "

@@ -34,6 +34,7 @@ loop hands it.
 from __future__ import annotations
 
 import time as _time
+from heapq import heappop
 from typing import Any, Callable, Optional, Protocol, runtime_checkable
 
 from repro.cluster.events import Event, EventKind, EventQueue
@@ -141,6 +142,7 @@ class EventLoop:
     ) -> None:
         self.clock: TimeSource = clock if clock is not None else VirtualClock()
         self._queue = EventQueue()
+        self._heap = self._queue._heap  # popped directly by pop_next
         self._sweep = sweep
         self._observer = observer
 
@@ -161,14 +163,14 @@ class EventLoop:
         Returns ``None`` when the queue is empty (the clock and sweep are
         untouched in that case).
         """
-        if not self._queue:
+        if not self._heap:
             return None
-        event = self._queue.pop()
-        self.clock.advance_to(event.time)
+        event = heappop(self._heap)
+        now = self.clock.advance_to(event.time)
         if self._observer is not None:
-            self._observer("advance", self.clock.now)
+            self._observer("advance", now)
         if self._sweep is not None:
-            self._sweep(self.clock.now)
+            self._sweep(now)
         return event
 
     def advance_to(self, time: float) -> float:

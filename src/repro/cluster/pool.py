@@ -341,6 +341,9 @@ class PoolSet:
         self.n_shards = n_shards
         per_shard = capacity_mb / n_shards
         self._shards = [WarmPool(per_shard) for _ in range(n_shards)]
+        # The only shard of a single-shard set: the aggregate capacity
+        # views read it directly (2-3 reads per arrival).
+        self._single = self._shards[0] if n_shards == 1 else None
         self._shard_of: dict[int, int] = {}
 
     # -- shard access ---------------------------------------------------------
@@ -356,11 +359,15 @@ class PoolSet:
     @property
     def capacity_mb(self) -> float:
         """Total capacity across shards."""
+        if self._single is not None:
+            return self._single.capacity_mb
         return sum(s.capacity_mb for s in self._shards)
 
     @property
     def used_mb(self) -> float:
         """Memory consumed by idle containers across shards."""
+        if self._single is not None:
+            return self._single._used_mb
         return sum(s.used_mb for s in self._shards)
 
     @property

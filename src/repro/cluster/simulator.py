@@ -39,10 +39,13 @@ The driver exposes three equivalent driving modes:
   :meth:`apply_decision` / :meth:`finish`) used by the DRL environment, which
   needs to interleave learning with decisions.
 
-All modes share every line of event-handling code, so trained policies see
-exactly the dynamics they were trained on.  With ``worker_concurrency``
-unset the dynamics (and the resulting telemetry summaries) are identical
-to the pre-layering monolith.
+All modes share every line of event-handling code (:meth:`_apply` and
+:meth:`_handle_non_arrival`), so trained policies see exactly the dynamics
+they were trained on.  :meth:`run` and :meth:`run_stream` share one driver
+loop that re-points a single :class:`SchedulingContext` at each arrival;
+the incremental API hands out a fresh context per decision point.  With
+``worker_concurrency`` unset the dynamics (and the resulting telemetry
+summaries) are identical to the pre-layering monolith.
 """
 
 from __future__ import annotations
@@ -78,6 +81,8 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
 ]
+
+_ARRIVAL = EventKind.ARRIVAL
 
 
 @dataclass(frozen=True)
@@ -266,13 +271,7 @@ class ClusterSimulator:
         modes to that.
         """
         self.load(workload)
-        while True:
-            ctx = self.next_decision_point()
-            if ctx is None:
-                break
-            self._apply(scheduler.decide(ctx), want_record=False)
-        self._fold_scheduler_counters(scheduler)
-        return self.finish(scheduler_name=scheduler.name)
+        return self._drive(scheduler)
 
     def _fold_scheduler_counters(self, scheduler: Scheduler) -> None:
         """Copy a policy's surrogate-audit counters into telemetry.
@@ -305,11 +304,36 @@ class ClusterSimulator:
         side O(1) as well.
         """
         self.load_stream(stream)
-        while True:
-            ctx = self.next_decision_point()
-            if ctx is None:
-                break
-            self._apply(scheduler.decide(ctx), want_record=False)
+        return self._drive(scheduler)
+
+    def _drive(self, scheduler: Scheduler) -> SimulationResult:
+        """The batch/stream driver loop: decide and apply every arrival.
+
+        The event handling is :meth:`next_decision_point` +
+        :meth:`_apply` unrolled, but one context is re-pointed at every
+        arrival instead of a fresh one being built (the lane kernel's
+        pattern).  The context never leaves this loop, so policies see
+        exactly what the incremental API would hand them.
+        """
+        if self._pending is not None:
+            raise RuntimeError("previous decision not applied yet")
+        ctx = self._context_for(None)
+        rebind = ctx._rebind
+        decide = scheduler.decide
+        apply = self._apply
+        handle = self._handle_non_arrival
+        prime = self._prime_next_arrival
+        pop_next = self.loop.pop_next
+        clock = self.loop.clock
+        pool = self.pool
+        while (event := pop_next()) is not None:
+            if event.kind is _ARRIVAL:
+                invocation = self._pending = event.payload
+                prime()
+                rebind(clock.now, invocation, pool.used_mb)
+                apply(decide(ctx), False)
+            else:
+                handle(event)
         self._fold_scheduler_counters(scheduler)
         return self.finish(scheduler_name=scheduler.name)
 
@@ -602,19 +626,21 @@ class ClusterSimulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _context_for(self, invocation: Invocation) -> SchedulingContext:
-        now = self.loop.now
-        return SchedulingContext(
-            now=now,
+    def _context_for(self, invocation: Optional[Invocation]) -> SchedulingContext:
+        # The idle tuple and both load views are built on first read.
+        ctx = SchedulingContext(
+            now=self.loop.now,
             invocation=invocation,
-            idle_containers=None,  # ordered from the pool on first read
+            idle_containers=None,
             cost_model=self.config.cost_model,
             pool_capacity_mb=self.pool.capacity_mb,
             pool_used_mb=self.pool.used_mb,
             pool=self.pool,
-            worker_loads=self.workers.container_counts(),
-            queue_depths=self.placement.queue_depths(now),
+            worker_loads=None,
+            queue_depths=None,
         )
+        ctx._bind_loads(self.placement)
+        return ctx
 
     def _handle_non_arrival(self, event) -> None:
         container, invocation = event.payload

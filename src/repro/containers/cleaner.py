@@ -26,7 +26,7 @@ from typing import List
 from repro.containers.container import Container
 from repro.containers.image import FunctionImage
 from repro.containers.matching import MatchLevel, match_level
-from repro.containers.volumes import Volume, VolumeKind, VolumeStore, volumes_for_image
+from repro.containers.volumes import Volume, VolumeKind, VolumeStore
 
 
 class SecurityViolation(RuntimeError):
@@ -59,12 +59,7 @@ class ContainerCleaner:
 
     def initial_mount(self, container: Container, function_name: str) -> List[Volume]:
         """Mount the volume set for a freshly created (cold-start) container."""
-        vols = volumes_for_image(
-            self._store,
-            container.image.language_packages,
-            container.image.runtime_packages,
-            function_name,
-        )
+        vols = list(self._store.volume_set(container.image, function_name))
         container.mounted_volumes = list(vols)
         self._store.record_mount(len(vols))
         return vols
@@ -95,14 +90,9 @@ class ContainerCleaner:
                 f"container {container.container_id} has a different OS level; "
                 "repacking cannot change the writable layer"
             )
-        needed = volumes_for_image(
-            self._store,
-            new_image.language_packages,
-            new_image.runtime_packages,
-            function_name,
-        )
+        needed = self._store.volume_set(new_image, function_name)
         needed_ids = {v.volume_id for v in needed}
-        current = list(container.mounted_volumes)
+        current = container.mounted_volumes
         unmounted = [v for v in current if v.volume_id not in needed_ids]
         kept = [v for v in current if v.volume_id in needed_ids]
         kept_ids = {v.volume_id for v in kept}

@@ -12,8 +12,9 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
+from repro.containers.image import FunctionImage
 from repro.packages.package import Package, PackageLevel
 
 
@@ -72,8 +73,30 @@ class VolumeStore:
         self._ids = itertools.count(1)
         self._package_volumes: Dict[tuple, Volume] = {}
         self._user_volumes: Dict[str, Volume] = {}
+        self._volume_sets: Dict[tuple, Tuple[Volume, ...]] = {}
         self.mount_count = 0
         self.unmount_count = 0
+
+    def volume_set(
+        self, image: FunctionImage, function_name: str
+    ) -> Tuple[Volume, ...]:
+        """:func:`volumes_for_image` for ``image``, memoized.
+
+        Keyed by the image's interned language and runtime fingerprints
+        and the function name.  Volumes are deduplicated by content, so
+        the memoized tuple holds the very objects a fresh call returns,
+        and a miss creates them in the same order (same volume ids).
+        """
+        fps = image.fingerprints
+        key = (fps[1], fps[2], function_name)
+        vols = self._volume_sets.get(key)
+        if vols is None:
+            vols = tuple(volumes_for_image(
+                self, image.language_packages, image.runtime_packages,
+                function_name,
+            ))
+            self._volume_sets[key] = vols
+        return vols
 
     def package_volume(
         self, kind: VolumeKind, packages: Iterable[Package]

@@ -157,6 +157,40 @@ class _MatchIndex:
         ctx.__dict__["_pool"] = value
 
 
+class _LoadView:
+    """``SchedulingContext.worker_loads`` / ``queue_depths``, read on
+    first access.
+
+    A driver builds its context with ``None`` for both views and binds
+    its :class:`~repro.cluster.placement.PlacementEngine` as the load
+    source (:meth:`SchedulingContext._bind_loads`); the first read then
+    takes the view from the placement engine at the context's own
+    ``now`` and keeps it, so only policies that read cluster load pay
+    for the tuples.  Without a source the view is ``()``; hand-built
+    contexts keep the tuple they were given.
+    """
+
+    def __init__(self, read) -> None:
+        self._read = read
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return ()  # the field's default
+        state = ctx.__dict__
+        view = state[self._slot]
+        if view is None:
+            placement = state.get("_placement")
+            view = () if placement is None else self._read(placement, ctx.now)
+            state[self._slot] = view
+        return view
+
+    def __set__(self, ctx, value) -> None:
+        ctx.__dict__[self._slot] = None if value is None else tuple(value)
+
+
 @dataclass(frozen=True)
 class SchedulingContext:
     """Read-only view handed to schedulers at each decision point.
@@ -187,7 +221,9 @@ class SchedulingContext:
     queue_depths:
         Startups waiting for a worker concurrency slot, per worker.  All
         zeros unless the simulator enforces a ``worker_concurrency``
-        limit; empty in hand-built contexts.
+        limit; empty in hand-built contexts.  The simulator's contexts
+        build both load views on first read, at the context's ``now``;
+        read them while deciding, before the decision is applied.
     """
 
     now: float
@@ -197,22 +233,33 @@ class SchedulingContext:
     pool_capacity_mb: float
     pool_used_mb: float
     pool: Optional["PoolSet"] = _MatchIndex()
-    worker_loads: Tuple[int, ...] = ()
-    queue_depths: Tuple[int, ...] = ()
+    worker_loads: Tuple[int, ...] = _LoadView(
+        lambda placement, now: placement.workers.container_counts()
+    )
+    queue_depths: Tuple[int, ...] = _LoadView(
+        lambda placement, now: placement.queue_depths(now)
+    )
+
+    def _bind_loads(self, placement) -> None:
+        """Make ``placement`` the source of the lazy load views."""
+        self.__dict__["_placement"] = placement
 
     def _rebind(
         self, now: float, invocation: Invocation, pool_used_mb: float
     ) -> None:
         """Point a driver-owned context at its pool's next decision.
 
-        The lane kernel reuses one context per lane; this resets the
-        per-arrival fields and the lazily ordered idle tuple in place.
+        The simulator's driver loop and the lane kernel reuse one context
+        each; this resets the per-arrival fields and the lazily built
+        idle tuple and load views in place.
         """
         state = self.__dict__
         state["now"] = now
         state["invocation"] = invocation
         state["pool_used_mb"] = pool_used_mb
         state["_idle"] = None
+        state["_worker_loads"] = None
+        state["_queue_depths"] = None
 
     # -- helpers every scheduler needs -------------------------------------
     def match_of(self, container: Container) -> MatchLevel:

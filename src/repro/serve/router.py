@@ -70,17 +70,22 @@ class Request:
         return payload
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+async def read_request(
+    reader: asyncio.StreamReader,
+    on_head: Optional[Callable[[], None]] = None,
+) -> Optional[Request]:
     """Read one HTTP/1.1 request from ``reader``.
 
     Returns ``None`` if the peer closed the connection before sending a
-    request line; raises :class:`HttpError` on malformed or oversized
-    input, and with status 408 if the request is not complete within
-    :data:`REQUEST_READ_TIMEOUT_S`.
+    request line; raises :class:`HttpError` on malformed, oversized or
+    truncated input, and with status 408 if the request is not complete
+    within :data:`REQUEST_READ_TIMEOUT_S`.  ``on_head`` is called once the
+    whole request head has arrived (the server's drain stops waiting
+    for connections only until then).
     """
     try:
         return await asyncio.wait_for(
-            _read_request(reader), REQUEST_READ_TIMEOUT_S
+            _read_request(reader, on_head), REQUEST_READ_TIMEOUT_S
         )
     except asyncio.TimeoutError:
         raise HttpError(
@@ -88,7 +93,9 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         ) from None
 
 
-async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+async def _read_request(
+    reader: asyncio.StreamReader, on_head: Optional[Callable[[], None]]
+) -> Optional[Request]:
     """:func:`read_request` without the deadline."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -98,6 +105,8 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         raise HttpError(400, "truncated request head") from None
     except asyncio.LimitOverrunError:
         raise HttpError(400, "request head too large") from None
+    if on_head is not None:
+        on_head()
     if len(head) > _MAX_HEADER_BYTES:
         raise HttpError(400, "request head too large")
     lines = head.decode("latin-1").split("\r\n")
@@ -112,15 +121,26 @@ async def _read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         name, sep, value = line.partition(":")
         if not sep:
             raise HttpError(400, f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
     length_text = headers.get("content-length", "0")
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise HttpError(400, f"bad Content-Length: {length_text!r}")
+    # The digit-count test keeps int() clear of its huge-string limit.
+    if len(length_text) > len(str(_MAX_BODY_BYTES)) or (
+        int(length_text) > _MAX_BODY_BYTES
+    ):
+        raise HttpError(
+            400, f"unacceptable Content-Length: {length_text[:32]}"
+        )
+    length = int(length_text)
     try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(400, f"bad Content-Length: {length_text!r}") from None
-    if length < 0 or length > _MAX_BODY_BYTES:
-        raise HttpError(400, f"unacceptable Content-Length: {length}")
-    body = await reader.readexactly(length) if length else b""
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise HttpError(400, "truncated request body") from None
     path = target.split("?", 1)[0]
     return Request(method=method, path=path, headers=headers, body=body)
 

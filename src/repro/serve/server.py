@@ -21,7 +21,8 @@ Endpoints (all JSON, ``Connection: close``):
 * ``POST /scheduler`` -- body ``{"scheduler": <key>}``; hot-swaps the
   decision policy.
 
-Graceful shutdown (:meth:`ServePlane.stop`): stop accepting, let every
+Graceful shutdown (:meth:`ServePlane.stop`): stop accepting, answer 408 at
+once to every connection whose request head has not arrived, let every
 in-flight request finish, run a final janitor sweep, then drain the engine
 so the simulator runs out its event queue and the recording closes.
 """
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.cluster.simulator import SimulationResult
 from repro.serve.admission import AdmissionController, AdmissionRejected
@@ -107,6 +108,12 @@ class ServePlane:
         self.router.add("POST", "/scheduler", self._swap_scheduler)
         self._server: Optional[asyncio.base_events.Server] = None
         self._draining = False
+        # Connection tasks still waiting for their request head; stop()
+        # cuts them off (``_cut``) instead of waiting out the read deadline,
+        # and ``_stopping`` cuts off connections accepted just before it.
+        self._awaiting_head: Set[asyncio.Task] = set()
+        self._cut: Set[asyncio.Task] = set()
+        self._stopping = False
         self._active_conns = 0
         self._conns_idle = asyncio.Event()
         self._conns_idle.set()
@@ -132,14 +139,19 @@ class ServePlane:
     async def stop(self) -> SimulationResult:
         """Gracefully shut down; returns the session's simulation result.
 
-        Ordering: refuse new work (503), stop accepting connections, wait
-        for every in-flight request and open connection to finish, stop the
-        janitor (final sweep), then drain the engine.
+        Ordering: refuse new work (503), stop accepting connections, answer
+        408 to every connection that has not yet sent a whole request head,
+        wait for every in-flight request and open connection to finish,
+        stop the janitor (final sweep), then drain the engine.
         """
         if self._server is None:
             raise RuntimeError("server not started")
         self._draining = True
+        self._stopping = True
         self._server.close()
+        for task in self._awaiting_head:
+            self._cut.add(task)
+            task.cancel()
         # Python 3.12's wait_closed also waits for handler completion;
         # the explicit waits below make the ordering version-independent.
         await self._server.wait_closed()
@@ -214,6 +226,30 @@ class ServePlane:
         return 200, {"scheduler": key, "previous": previous}
 
     # -- connection plumbing -------------------------------------------------
+    async def _read(self, reader: asyncio.StreamReader) -> Optional[Request]:
+        """:func:`read_request`, cut off with 408 by a drain that starts
+        before the request head has arrived."""
+        task = asyncio.current_task()
+        if self._stopping:
+            raise HttpError(408, "server is draining")
+        self._awaiting_head.add(task)
+        try:
+            return await read_request(
+                reader, on_head=lambda: self._awaiting_head.discard(task)
+            )
+        except asyncio.CancelledError:
+            # Only the cut-off stop() requested becomes a 408; any other
+            # cancellation of this task propagates.
+            if task not in self._cut:
+                raise
+            uncancel = getattr(task, "uncancel", None)  # Python >= 3.11
+            if uncancel is not None and uncancel() > 0:
+                raise
+            raise HttpError(408, "server is draining") from None
+        finally:
+            self._awaiting_head.discard(task)
+            self._cut.discard(task)
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -222,7 +258,7 @@ class ServePlane:
         self._conns_idle.clear()
         try:
             try:
-                request = await read_request(reader)
+                request = await self._read(reader)
                 if request is None:
                     return
                 status, payload = await self.router.dispatch(request)

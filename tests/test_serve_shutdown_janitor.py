@@ -115,6 +115,72 @@ class TestGracefulShutdown:
         assert result.summary()["invocations"] == 0.0
         assert engine.closed
 
+    def test_stop_cuts_off_idle_connection_at_once(self):
+        # Default read deadline (10 s): stop() must not wait it out for a
+        # connection that never sent a request head.
+        assert router.REQUEST_READ_TIMEOUT_S >= 5.0
+        engine, _ = _engine()
+        plane = ServePlane(engine)
+
+        async def body():
+            await plane.start()
+            reader, writer = await asyncio.open_connection(
+                plane.host, plane.port
+            )
+            await asyncio.sleep(0.05)  # let the server accept it
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            result = await asyncio.wait_for(plane.stop(), timeout=1.0)
+            elapsed = loop.time() - started
+            response = await asyncio.wait_for(reader.read(), timeout=1.0)
+            writer.close()
+            return result, response, elapsed
+
+        result, response, elapsed = asyncio.run(body())
+        assert elapsed < 1.0
+        assert response.startswith(b"HTTP/1.1 408 ")
+        assert result.summary()["invocations"] == 0.0
+        assert engine.closed
+
+    def test_stop_still_finishes_a_request_whose_head_arrived(self):
+        # A head promising a body that is still on its way: the drain
+        # waits for it, and the request is served.
+        engine, clock = _engine()
+        plane = ServePlane(engine)
+
+        async def body():
+            await plane.start()
+            clock.advance_to(1.0)
+            reader, writer = await asyncio.open_connection(
+                plane.host, plane.port
+            )
+            payload = b'{"function": "hello-python"}'
+            writer.write(
+                b"POST /invoke HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(payload)
+            )
+            await writer.drain()
+            # Wait until the server holds the connection and has read
+            # its head (it no longer counts among the head waiters).
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 5.0
+            while plane._active_conns == 0 or plane._awaiting_head:
+                assert loop.time() < deadline, "head never arrived"
+                await asyncio.sleep(0.01)
+            stopping = asyncio.ensure_future(plane.stop())
+            await asyncio.sleep(0.05)
+            assert not stopping.done()
+            writer.write(payload)
+            await writer.drain()
+            response = await asyncio.wait_for(reader.read(), timeout=5.0)
+            writer.close()
+            result = await asyncio.wait_for(stopping, timeout=5.0)
+            return result, response
+
+        result, response = asyncio.run(body())
+        assert response.startswith(b"HTTP/1.1 503 ")
+        assert result.summary()["invocations"] == 0.0
+
 
 class TestJanitor:
     def _idle_session(self, ttl_s=10.0):

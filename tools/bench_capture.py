@@ -27,6 +27,14 @@ fourth verification stage.
 extra insurance against a capture run where even the best round was
 degraded (faster-than-baseline never fails, so erring slow is safe).
 
+Min times are *probe-scaled*: right after each benchmark the conftest
+fixture times a fixed pure-Python probe loop (``perfbench.hostspeed``)
+and stamps it as ``extra_info["host_probe_s"]``.  The baseline records
+the median probe of the capture as ``host_probe_s`` and every min
+rescaled to it; ``--compare`` (like the in-run guard) rescales each
+observed min by that probe over its own, so a host that runs slower than
+at capture does not read as a regression of the code.
+
 Alongside each timing, the per-file *peak RSS* stamped by the conftest
 fixture (``extra_info["peak_rss_mb"]``) is captured as a
 ``{test_name}[rss_mb]`` entry, so ``--compare`` also gates memory
@@ -47,7 +55,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from statistics import median
+from typing import Dict, List, Optional, Sequence, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,9 +116,16 @@ REGRESSION_FACTOR = 1.30
 #: a min round time (seconds).
 RSS_SUFFIX = "[rss_mb]"
 
+#: Baseline key of the capture's host probe time in seconds; mirrors
+#: ``PROBE_KEY`` in ``benchmarks/conftest.py``.
+PROBE_KEY = "host_probe_s"
 
-def capture(bench_paths: Sequence[str]) -> Dict[str, float]:
-    """Run the benchmarks and return ``{test_name: min_seconds}``.
+
+def capture(
+    bench_paths: Sequence[str],
+) -> Tuple[Dict[str, float], Dict[str, float]]:
+    """Run the benchmarks; returns ``({test_name: min_seconds},
+    {test_name: host_probe_s})``.
 
     Each file runs in its own pytest process: timings are
     context-sensitive (a process warmed up by earlier benchmark files
@@ -122,6 +138,7 @@ def capture(bench_paths: Sequence[str]) -> Dict[str, float]:
     # The guard compares against the file being regenerated; disable it.
     env["REPRO_BENCH_GUARD"] = "off"
     mins: Dict[str, float] = {}
+    probes: Dict[str, float] = {}
     with tempfile.TemporaryDirectory() as tmp:
         for i, path in enumerate(bench_paths):
             json_path = Path(tmp) / f"bench{i}.json"
@@ -143,27 +160,62 @@ def capture(bench_paths: Sequence[str]) -> Dict[str, float]:
                     continue
                 # "name" is the bare test name, e.g. "test_match_level_rate".
                 mins[bench["name"]] = bench["stats"]["min"]
-                rss = (bench.get("extra_info") or {}).get("peak_rss_mb")
+                extra = bench.get("extra_info") or {}
+                if extra.get("host_probe_s"):
+                    probes[bench["name"]] = extra["host_probe_s"]
+                rss = extra.get("peak_rss_mb")
                 if rss:
                     mins[f"{bench['name']}{RSS_SUFFIX}"] = rss
-    return dict(sorted(mins.items()))
+    return dict(sorted(mins.items())), probes
+
+
+def baseline_of(
+    runs: Sequence[Tuple[Dict[str, float], Dict[str, float]]],
+) -> Dict[str, float]:
+    """One baseline from capture runs.
+
+    The median of every probe reading becomes ``host_probe_s``; each min
+    time is rescaled to it by its own probe, and across runs the slowest
+    rescaled value is kept.  RSS entries are kept as captured (slowest,
+    i.e. largest, across runs).
+    """
+    readings = [p for _, probes in runs for p in probes.values()]
+    ref = median(readings) if readings else None
+    baseline: Dict[str, float] = {}
+    for mins, probes in runs:
+        for name, value in mins.items():
+            if ref is not None and name in probes:
+                value *= ref / probes[name]
+            baseline[name] = max(value, baseline.get(name, 0.0))
+    if ref is not None:
+        baseline[PROBE_KEY] = ref
+    return dict(sorted(baseline.items()))
 
 
 def compare(mins: Dict[str, float], baseline: Dict[str, float],
             factor: float = REGRESSION_FACTOR) -> List[str]:
     """Regression lines for every min past ``factor`` x its baseline.
 
-    Benchmarks absent from the baseline are reported informationally (a
-    fresh ``bench_*.py`` file is not a regression) but do not fail the
-    gate; the returned list contains only genuine regressions.
+    When both carry a ``host_probe_s``, min times are first rescaled by
+    the baseline's probe over ``mins``'s.  Benchmarks absent from the
+    baseline are reported informationally (a fresh ``bench_*.py`` file is
+    not a regression) but do not fail the gate; the returned list
+    contains only genuine regressions.
     """
     regressions: List[str] = []
+    scale = 1.0
+    if PROBE_KEY in baseline and PROBE_KEY in mins:
+        scale = baseline[PROBE_KEY] / mins[PROBE_KEY]
     for name, observed in mins.items():
+        if name == PROBE_KEY:
+            continue
         fmt = _fmt_rss if name.endswith(RSS_SUFFIX) else _fmt_ms
         base = baseline.get(name)
         if base is None:
             print(f"  new (no baseline): {name} {fmt(observed)}")
             continue
+        if not name.endswith(RSS_SUFFIX):
+            observed *= scale
         allowed = base * factor
         if observed > allowed:
             regressions.append(
@@ -199,25 +251,23 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="capture N times and keep each benchmark's "
                              "slowest min (jitter-robust baseline)")
     args = parser.parse_args(argv)
-    mins = capture(args.benchmarks)
-    for _ in range(args.repeat - 1):
-        for name, observed in capture(args.benchmarks).items():
-            mins[name] = max(observed, mins.get(name, 0.0))
+    runs = [capture(args.benchmarks) for _ in range(max(1, args.repeat))]
+    captured = baseline_of(runs)
     if args.compare is not None:
         baseline = json.loads(Path(args.compare).read_text())
-        regressions = compare(mins, baseline)
+        regressions = compare(captured, baseline)
         for line in regressions:
             print(f"REGRESSION {line}")
         status = "FAILED" if regressions else "ok"
-        print(f"bench gate: {status} ({len(mins)} benchmarks, "
+        print(f"bench gate: {status} ({len(captured)} entries, "
               f"{len(regressions)} regressions)")
         return 1 if regressions else 0
     output = Path(args.output)
-    output.write_text(json.dumps(mins, indent=2, sort_keys=True) + "\n")
-    for name, observed in mins.items():
+    output.write_text(json.dumps(captured, indent=2, sort_keys=True) + "\n")
+    for name, observed in captured.items():
         fmt = _fmt_rss if name.endswith(RSS_SUFFIX) else _fmt_ms
         print(f"{name}: {fmt(observed)}")
-    print(f"wrote {len(mins)} baselines to {output}")
+    print(f"wrote {len(captured)} baselines to {output}")
     return 0
 
 
